@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +8,9 @@ from conftest import cube_covers_row, oracle_min_cover, oracle_primes
 from bfforms.errors import GuardTimeoutError
 from bfforms.sop import Cube, SopForm, eval_sop, minimize_sop, prime_implicants
 from bfforms.truthtable import Assignment, TruthTable, sample_uniform
+
+
+GOLDEN_COVERS = Path(__file__).parent / "data" / "golden_covers.txt"
 
 
 def cover_strings(sop: SopForm) -> list[str]:
@@ -180,3 +185,17 @@ def test_minimize_n5_sampled_round_trip():
     for index in sample_uniform(5, 10, seed=11):
         tt = TruthTable.from_index(5, index)
         assert minimize_sop(tt).cover_mask() == tt.index
+
+
+def test_minimize_matches_golden_covers():
+    # Covers recorded from an independent exact minimizer; the tie-breaks
+    # (fewest terms, fewest literals, least cube list) must reproduce them.
+    rows = [
+        line.split()
+        for line in GOLDEN_COVERS.read_text().splitlines()
+        if line and not line.startswith("#")
+    ]
+    assert len(rows) == 40 + 79
+    for n, index, *cubes in rows:
+        tt = TruthTable.from_index(int(n), int(index, 16))
+        assert cover_strings(minimize_sop(tt)) == cubes, index
