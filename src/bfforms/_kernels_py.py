@@ -131,6 +131,8 @@ def _min_cover(
             if gain > best_gain:
                 best_gain = gain
                 best_i = i
+        if best_i < 0:
+            raise ValueError("on-set rows outside every prime implicant")
         g_unc &= ~pcov[best_i]
         g_terms += 1
         g_lits += plit[best_i]

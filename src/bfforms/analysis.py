@@ -12,7 +12,6 @@ best achievable value for exactly that criterion.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -131,8 +130,14 @@ def analyze_function(
     """Minimize ``tt`` in all three forms; polarity searches use ``criterion``."""
     if criterion not in costs.CRITERIA:
         raise ValueError(f"unknown criterion {criterion!r}")
-    record = analyze_record(tt, guard_s)
+    n, index = tt.n, tt.index
     sop = minimize_sop(tt, guard_s)
+    record = SweepRecord(
+        index=index,
+        cost_cfr=costs.cost_of_sop(sop),
+        cost_rm=costs.from_counts(n, *kernels.rm_minima(n, index), dual_rail=False),
+        cost_afr=costs.from_counts(n, *kernels.arith_minima(n, index), dual_rail=False),
+    )
     pk, rm_poly = best_polarity(tt, criterion)
     ak, af_poly = best_arith_polarity(tt, criterion)
     return FunctionAnalysis(
@@ -266,6 +271,10 @@ def _run_jobs(worker, chunks, jobs: int):
     if jobs <= 1 or len(chunks) <= 1:
         results = [worker(c) for c in chunks]
     else:
+        # Imported here: multiprocessing adds about 2 MB to every process
+        # that loads bfforms, and single-job runs never use it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(worker, chunks))
     merged: list[tuple[int, ...]] = []

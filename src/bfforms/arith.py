@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import costs
-from .reedmuller import PolarityVector
+from .reedmuller import PolarityVector, scan_polarities, term_string
 from .truthtable import Assignment, TruthTable, _validate_n
 
 Number = int | Fraction
@@ -48,20 +48,6 @@ class ArithPolynomial:
     def n(self) -> int:
         return self.polarity.n
 
-    def term_string(self, j: int) -> str:
-        if j == 0:
-            return "1"
-        n = self.n
-        parts = []
-        for i in range(n):
-            p = n - 1 - i
-            if (j >> p) & 1:
-                lit = f"x{i + 1}"
-                if self.polarity.bits[i]:
-                    lit = "~" + lit
-                parts.append(lit)
-        return "*".join(parts)
-
     def __str__(self) -> str:
         pieces = []
         for j, c in enumerate(self.coeffs):
@@ -69,7 +55,7 @@ class ArithPolynomial:
                 continue
             sign = "-" if c < 0 else "+"
             mag = -c if c < 0 else c
-            term = self.term_string(j)
+            term = term_string(self.polarity, j)
             if term == "1":
                 body = str(mag)
             elif mag == 1:
@@ -178,17 +164,7 @@ def best_arith_polarity(
     Ties break toward the lowest polarity integer, mirroring the
     Reed-Muller polarity search.
     """
-    if criterion not in costs.CRITERIA:
-        raise ValueError(f"unknown criterion {criterion!r}")
-    best: tuple[int, PolarityVector, ArithPolynomial] | None = None
-    for k in range(1 << tt.n):
-        p = PolarityVector.from_int(tt.n, k)
-        poly = arithmetic_transform(tt, p)
-        value = costs.cost_of_arith(poly).get(criterion)
-        if best is None or value < best[0]:
-            best = (value, p, poly)
-    assert best is not None
-    return best[1], best[2]
+    return scan_polarities(tt, criterion, arithmetic_transform, costs.cost_of_arith)
 
 
 def threshold_verify(candidate: ArithPolynomial, tt: TruthTable) -> bool:

@@ -3,9 +3,15 @@
 Set ``BFFORMS_PURE=1`` to force the pure-Python kernels even when the
 compiled extension is installed.  Both backends implement identical
 semantics and produce identical counts; ``BACKEND`` names the active one.
+The functions here validate ``n`` and the function indices once for both
+backends, raising ValueError outside ``1 <= n <= 6`` and
+``0 <= index < 2**2**n``.
 """
 
+from __future__ import annotations
+
 import os
+from typing import Sequence
 
 if os.environ.get("BFFORMS_PURE") == "1":
     from . import _kernels_py as _impl
@@ -16,9 +22,48 @@ else:
         from . import _kernels_py as _impl
 
 BACKEND = _impl.BACKEND
-analyze_counts = _impl.analyze_counts
-analyze_batch = _impl.analyze_batch
-min_sop_counts = _impl.min_sop_counts
-rm_minima = _impl.rm_minima
-arith_minima = _impl.arith_minima
-sweep_counts = _impl.sweep_counts
+
+
+def _check(n: int, *indices: int) -> None:
+    if not 1 <= n <= 6:
+        raise ValueError(f"kernels support n in 1..6, got {n}")
+    size = 1 << (1 << n)
+    for index in indices:
+        if not 0 <= index < size:
+            raise ValueError(f"function index {index} out of range for n={n}")
+
+
+def analyze_counts(n: int, index: int, guard_s: float = 60.0) -> tuple[int, ...]:
+    _check(n, index)
+    return _impl.analyze_counts(n, index, guard_s)
+
+
+def analyze_batch(
+    n: int, indices: Sequence[int], guard_s: float = 60.0
+) -> list[tuple[int, ...]]:
+    _check(n, *indices)
+    return _impl.analyze_batch(n, indices, guard_s)
+
+
+def sweep_counts(
+    n: int, start: int, stop: int, guard_s: float = 60.0
+) -> list[tuple[int, ...]]:
+    _check(n)
+    if not 0 <= start <= stop <= 1 << (1 << n):
+        raise ValueError(f"index range [{start}, {stop}) out of range for n={n}")
+    return _impl.sweep_counts(n, start, stop, guard_s)
+
+
+def min_sop_counts(n: int, on: int, guard_s: float = 60.0) -> tuple[int, int]:
+    _check(n, on)
+    return _impl.min_sop_counts(n, on, guard_s)
+
+
+def rm_minima(n: int, mask: int) -> tuple[int, int, int]:
+    _check(n, mask)
+    return _impl.rm_minima(n, mask)
+
+
+def arith_minima(n: int, mask: int) -> tuple[int, int, int]:
+    _check(n, mask)
+    return _impl.arith_minima(n, mask)

@@ -50,6 +50,18 @@ class PolarityVector:
         return "".join(str(b) for b in self.bits)
 
 
+def term_string(polarity: PolarityVector, j: int) -> str:
+    """Monomial ``j`` with the literals ``polarity`` fixes; "1" when j = 0."""
+    if j == 0:
+        return "1"
+    n = polarity.n
+    parts = []
+    for i in range(n):
+        if (j >> (n - 1 - i)) & 1:
+            parts.append(("~" if polarity.bits[i] else "") + f"x{i + 1}")
+    return "*".join(parts)
+
+
 @dataclass(frozen=True)
 class RmPolynomial:
     """GF(2) coefficients of a fixed-polarity Reed-Muller polynomial."""
@@ -67,22 +79,8 @@ class RmPolynomial:
     def n(self) -> int:
         return self.polarity.n
 
-    def term_string(self, j: int) -> str:
-        if j == 0:
-            return "1"
-        n = self.n
-        parts = []
-        for i in range(n):
-            p = n - 1 - i
-            if (j >> p) & 1:
-                lit = f"x{i + 1}"
-                if self.polarity.bits[i]:
-                    lit = "~" + lit
-                parts.append(lit)
-        return "*".join(parts)
-
     def __str__(self) -> str:
-        active = [self.term_string(j) for j, a in enumerate(self.coeffs) if a]
+        active = [term_string(self.polarity, j) for j, a in enumerate(self.coeffs) if a]
         return " ^ ".join(active) if active else "0"
 
 
@@ -119,26 +117,29 @@ def eval_rm(poly: RmPolynomial, a: Assignment) -> int:
     return acc
 
 
+def scan_polarities(tt: TruthTable, criterion: str, transform, cost):
+    """Cheapest ``transform(tt, p)`` under ``criterion`` over all 2**n polarities.
+
+    ``cost`` maps a polynomial to its CostVector.  Ties break toward the
+    lowest polarity integer.  Each polarity is transformed from scratch; a
+    Gray-code incremental scan would save a constant factor but n <= 6
+    keeps the full scan trivial.  Returns (polarity, polynomial).
+    """
+    if criterion not in costs.CRITERIA:
+        raise ValueError(f"unknown criterion {criterion!r}")
+    polys = [transform(tt, PolarityVector.from_int(tt.n, k)) for k in range(1 << tt.n)]
+    best = min(polys, key=lambda poly: cost(poly).get(criterion))
+    return best.polarity, best
+
+
 def best_polarity(
     tt: TruthTable, criterion: str
 ) -> tuple[PolarityVector, RmPolynomial]:
     """Scan all 2**n polarities; return the cheapest under ``criterion``.
 
-    Ties break toward the lowest polarity integer.  Each polarity is
-    transformed from scratch; a Gray-code incremental scan would save a
-    constant factor but n <= 6 keeps the full scan trivial.
+    Ties break toward the lowest polarity integer.
     """
-    if criterion not in costs.CRITERIA:
-        raise ValueError(f"unknown criterion {criterion!r}")
-    best: tuple[int, PolarityVector, RmPolynomial] | None = None
-    for k in range(1 << tt.n):
-        p = PolarityVector.from_int(tt.n, k)
-        poly = fprm_transform(tt, p)
-        value = costs.cost_of_rm(poly).get(criterion)
-        if best is None or value < best[0]:
-            best = (value, p, poly)
-    assert best is not None
-    return best[1], best[2]
+    return scan_polarities(tt, criterion, fprm_transform, costs.cost_of_rm)
 
 
 def fprm_count(n: int) -> int:

@@ -1,10 +1,16 @@
-"""Exact two-level SOP minimization: Quine-McCluskey primes + Petrick cover.
+"""Exact two-level SOP minimization: lattice primes + branch-and-bound.
 
 The minimization objective is total and documented: fewest product terms,
 then fewest literals, then the lexicographically least cube list under the
 PLA-string order ('-' < '0' < '1', leftmost character is x_1).  The search
 space for the tie-breaks is covers assembled from prime implicants, which
 always contains a global optimum.
+
+The prime implicants are filtered from the 3**n cube lattice of the sweep
+kernels, and the kernel's branch-and-bound gives the optimal (terms,
+literals) pair.  One depth-first pass over the primes in cube-string order
+then returns the first cover that meets that pair, which is the
+lexicographically least one.
 """
 
 from __future__ import annotations
@@ -12,6 +18,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+from . import kernels
+from ._kernels_py import _lattice
 from .errors import GuardTimeoutError
 from .guard import resolve_guard
 from .truthtable import Assignment, TruthTable
@@ -139,84 +147,89 @@ def eval_sop(sop: SopForm, a: Assignment) -> int:
 
 
 def prime_implicants(tt: TruthTable) -> list[Cube]:
-    """All prime implicants of ``tt`` via Quine-McCluskey merging.
+    """All prime implicants of ``tt``, filtered from the 3**n cube lattice.
 
-    Raises ValueError for the constant-0 function, which has none.
-    Result is sorted by cube string.
+    A cube is prime when it is an implicant and none of its parents (the
+    cubes with one literal fewer) is.  Raises ValueError for the
+    constant-0 function, which has none.  Result is sorted by cube string.
     """
     n = tt.n
-    minterms = [row for row, b in enumerate(tt.bits) if b]
-    if not minterms:
+    if tt.index == 0:
         raise ValueError("constant-0 function has no implicants")
-
-    full = (1 << n) - 1
-    level = {(full, row) for row in minterms}
-    primes: set[tuple[int, int]] = set()
-    while level:
-        merged: set[tuple[int, int]] = set()
-        next_level: set[tuple[int, int]] = set()
-        by_care: dict[int, list[tuple[int, int]]] = {}
-        for cube in level:
-            by_care.setdefault(cube[0], []).append(cube)
-        for care, cubes in by_care.items():
-            values = {v for _, v in cubes}
-            for _, v in cubes:
-                for i in range(n):
-                    bit = 1 << i
-                    if care & bit and v & bit and (v ^ bit) in values:
-                        merged.add((care, v))
-                        merged.add((care, v ^ bit))
-                        next_level.add((care ^ bit, v ^ bit))
-        primes.update(level - merged)
-        level = next_level
-    return sorted(
-        (Cube(n, care, value) for care, value in primes),
-        key=lambda c: c.to_string(),
-    )
+    covers, _, parents, full, _ = _lattice(n)
+    off = full ^ tt.index
+    primes = []
+    for c, cov in enumerate(covers):
+        if cov & off or not all(covers[q] & off for q in parents[c]):
+            continue
+        # Lattice digit p: 0 = x absent, 1 = negative, 2 = positive literal.
+        care = value = 0
+        d = c
+        for p in range(n):
+            d, digit = divmod(d, 3)
+            if digit:
+                care |= 1 << p
+                if digit == 2:
+                    value |= 1 << p
+        primes.append(Cube(n, care, value))
+    return sorted(primes, key=lambda c: c.to_string())
 
 
-def _petrick_products(
-    prime_masks: list[int],
-    uncovered: int,
+def _least_cover(
+    masks: list[int],
+    lits: list[int],
+    on: int,
+    terms: int,
+    literals: int,
     deadline: float,
 ) -> list[int]:
-    """Petrick's method: all minimal prime subsets covering ``uncovered``.
+    """Least index list of a cover of ``on`` with ``terms`` and ``literals``.
 
-    Products are bitmasks over prime indices, kept as an antichain under
-    set inclusion by absorption after every minterm round.
+    Indices are picked in increasing order, so covers of equal size are
+    visited in sorted-tuple order and the first complete one is the least.
+    A branch is pruned when some uncovered row has no covering prime at or
+    after the next index, or when the term or literal budget runs out;
+    every prime has at least one literal.
     """
-    # Process sparsest minterms first to keep the product set small.
-    rows = []
-    m = uncovered
-    while m:
-        low = m & -m
-        m ^= low
-        covering = [i for i, pm in enumerate(prime_masks) if pm & low]
-        rows.append(covering)
-    rows.sort(key=lambda cov: (len(cov), cov))
+    count = len(masks)
+    tail = [0] * (count + 1)
+    for i in range(count - 1, -1, -1):
+        tail[i] = tail[i + 1] | masks[i]
+    chosen: list[int] = []
+    nodes = 0
 
-    products = [0]
-    for covering in rows:
-        if time.monotonic() > deadline:
+    def search(start: int, uncovered: int, terms_left: int, lits_left: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if nodes & 0xFFF == 0 and time.monotonic() > deadline:
             raise GuardTimeoutError("SOP minimization exceeded its time guard")
-        expanded = {p | (1 << i) for p in products for i in covering}
-        # Absorption: drop any product that contains another.
-        best_by_size = sorted(expanded, key=lambda p: bin(p).count("1"))
-        kept: list[int] = []
-        for cand in best_by_size:
-            if not any(k & cand == k for k in kept):
-                kept.append(cand)
-        products = kept
-    return products
+        if not uncovered:
+            return terms_left == 0 and lits_left == 0
+        if lits_left < terms_left:
+            return False
+        spare = lits_left - terms_left + 1
+        for i in range(start, count):
+            if uncovered & ~tail[i]:
+                return False
+            if masks[i] & uncovered and lits[i] <= spare:
+                chosen.append(i)
+                if search(i + 1, uncovered & ~masks[i], terms_left - 1, lits_left - lits[i]):
+                    return True
+                chosen.pop()
+        return False
+
+    if not search(0, on, terms, literals):
+        raise RuntimeError("no prime cover attains the kernel's optimum")
+    return chosen
 
 
 def minimize_sop(tt: TruthTable, guard_s: float | None = None) -> SopForm:
     """Exact minimum SOP cover of ``tt``.
 
     Objective order: term count, then literal count, then lexicographic
-    cube list.  Raises GuardTimeoutError if the cover search exceeds the
-    time budget (see :mod:`bfforms.guard`); a wrong or approximate answer
-    is never returned.
+    cube list.  Raises GuardTimeoutError if the search exceeds the time
+    budget (see :mod:`bfforms.guard`), which covers the whole call; a wrong
+    or approximate answer is never returned.
     """
     n = tt.n
     deadline = time.monotonic() + resolve_guard(guard_s)
@@ -226,50 +239,14 @@ def minimize_sop(tt: TruthTable, guard_s: float | None = None) -> SopForm:
     if on == (1 << (1 << n)) - 1:
         return SopForm(n, (Cube(n, 0, 0),))
 
+    terms, literals = kernels.min_sop_counts(n, on, deadline - time.monotonic())
     primes = prime_implicants(tt)
-    prime_masks = [c.cover_mask() for c in primes]
-
-    # Essential primes sit in every prime cover; select them up front.
-    selected = 0
-    uncovered = on
-    while uncovered:
-        if time.monotonic() > deadline:
-            raise GuardTimeoutError("SOP minimization exceeded its time guard")
-        essential = 0
-        m = uncovered
-        while m:
-            low = m & -m
-            m ^= low
-            hits = [i for i, pm in enumerate(prime_masks) if pm & low]
-            if len(hits) == 1:
-                essential |= 1 << hits[0]
-        essential &= ~selected
-        if not essential:
-            break
-        selected |= essential
-        e = essential
-        while e:
-            i = (e & -e).bit_length() - 1
-            e &= e - 1
-            uncovered &= ~prime_masks[i]
-
-    if uncovered:
-        products = _petrick_products(prime_masks, uncovered, deadline)
-    else:
-        products = [0]
-
-    def cover_key(product: int) -> tuple[int, int, tuple[str, ...]]:
-        chosen = product | selected
-        cubes = []
-        p = chosen
-        while p:
-            i = (p & -p).bit_length() - 1
-            p &= p - 1
-            cubes.append(primes[i])
-        strings = tuple(sorted(c.to_string() for c in cubes))
-        literals = sum(c.literal_count for c in cubes)
-        return (len(cubes), literals, strings)
-
-    best = min(products, key=cover_key)
-    _, _, strings = cover_key(best)
-    return SopForm(n, tuple(Cube.from_string(n, s) for s in strings))
+    chosen = _least_cover(
+        [c.cover_mask() for c in primes],
+        [c.literal_count for c in primes],
+        on,
+        terms,
+        literals,
+        deadline,
+    )
+    return SopForm(n, tuple(primes[i] for i in chosen))

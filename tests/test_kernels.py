@@ -1,9 +1,18 @@
 """Backend agreement: pure vs compiled kernels vs the library path.
 
 The kernels only return counts, so agreement is checked value-by-value
-against the slow library implementations (QM+Petrick minimizer, per-
-polarity transforms) and between the two backends.
+against the slow library implementations and between the two backends.
+The Reed-Muller and arithmetic columns come from independent per-polarity
+transforms.  The SOP column does not: ``minimize_sop`` takes its (terms,
+literals) optimum from the kernel's own count search, so it checks only
+that the returned cover attains those counts.  The independent checks of
+the SOP optimum are the brute-force ``conftest.oracle_min_cover`` (n <= 4)
+and the golden covers in ``tests/data/golden_covers.txt``.
 """
+
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -122,3 +131,31 @@ def test_kernel_selection_env(monkeypatch):
     monkeypatch.delenv("BFFORMS_PURE")
     importlib.reload(kernels)
     assert kernels.BACKEND == "compiled"
+
+
+BAD_INPUTS = [(2, 1 << 5), (3, 0x1FF), (3, -1), (0, 1), (7, 3)]
+
+
+@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
+@pytest.mark.parametrize("n, index", BAD_INPUTS)
+def test_facade_rejects_bad_input(impl, n, index):
+    # A child process turns a hang or a crash into a test failure instead
+    # of taking pytest down with it.
+    code = (
+        "from bfforms import kernels\n"
+        f"assert kernels.BACKEND == {impl.BACKEND!r}\n"
+        "try:\n"
+        f"    kernels.analyze_counts({n}, {index}, 60.0)\n"
+        "except ValueError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit('no ValueError')\n"
+    )
+    env = dict(os.environ)
+    env.pop("BFFORMS_PURE", None)
+    if impl is pure:
+        env["BFFORMS_PURE"] = "1"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=30,
+    )
+    assert result.returncode == 0, result.stderr

@@ -1,3 +1,4 @@
+import time
 from pathlib import Path
 
 import pytest
@@ -154,6 +155,29 @@ def cover_strings_from(cubes) -> list[str]:
 def test_guard_zero_aborts(maj3):
     with pytest.raises(GuardTimeoutError):
         minimize_sop(maj3, guard_s=0.0)
+
+
+# n=6 functions on which an earlier exact minimizer ran past its guard.
+SLOW_N6 = (
+    0xCFEDA7CFE8394EFD,
+    0x3EDEDEF35369F978,
+    0xF54F98DDEBFD9186,
+    0xAA9FB1E967C279FA,
+)
+
+
+@pytest.mark.parametrize("index", SLOW_N6, ids=hex)
+def test_slow_n6_finish_under_default_guard(index):
+    tt = TruthTable.from_index(6, index)
+    assert minimize_sop(tt).cover_mask() == index
+
+
+def test_guard_abort_is_prompt():
+    tt = TruthTable.from_index(6, SLOW_N6[0])
+    start = time.monotonic()
+    with pytest.raises(GuardTimeoutError):
+        minimize_sop(tt, guard_s=0.05)
+    assert time.monotonic() - start < 1.0
 
 
 def test_duplicate_cubes_rejected():
