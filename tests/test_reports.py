@@ -1,8 +1,11 @@
+import hashlib
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from bfforms import cli
 from bfforms.analysis import sweep
 from bfforms.costs import CRITERIA
 from bfforms.reports import (
@@ -13,6 +16,12 @@ from bfforms.reports import (
     weights_table,
     write_sweep_reports,
 )
+
+GOLDEN_REPORTS = Path(__file__).parent / "data" / "golden_reports.sha256"
+GOLDEN_RUNS = {
+    "sweep3": ["sweep", "--n", "3", "--jobs", "1"],
+    "sample5": ["sample", "--n", "5", "--count", "512", "--seed", "7", "--jobs", "1"],
+}
 
 
 @pytest.fixture(scope="module")
@@ -102,3 +111,18 @@ def test_no_reference_section_for_n2(tmp_path):
     records = sweep(2)
     summary = summary_json(records, 2)
     assert "reference_comparison" not in summary
+
+
+def test_report_bytes_match_golden_digests(tmp_path):
+    # Digests recorded before the statistics moved to one aggregate pass.
+    expected = {}
+    for line in GOLDEN_REPORTS.read_text().splitlines():
+        if line and not line.startswith("#"):
+            digest, name = line.split()
+            expected[name] = digest
+    assert len(expected) == 10
+    for label, argv in GOLDEN_RUNS.items():
+        assert cli.main(argv + ["--out", str(tmp_path / label)]) == 0
+    for name, digest in expected.items():
+        data = (tmp_path / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
