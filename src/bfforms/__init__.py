@@ -17,6 +17,8 @@ from .analysis import (
     SCENARIOS,
     SUBSET_LABELS,
     SweepRecord,
+    SweepStats,
+    aggregate,
     analyze_function,
     analyze_record,
     classify,
@@ -81,7 +83,9 @@ __all__ = [
     "SUBSET_LABELS",
     "SopForm",
     "SweepRecord",
+    "SweepStats",
     "TruthTable",
+    "aggregate",
     "analyze_function",
     "analyze_record",
     "arithmetic_transform",

@@ -73,6 +73,26 @@ def _lattice(n: int):
     return result
 
 
+def _prime_ids(n: int, on: int) -> list[int]:
+    """Lattice ids, ascending, of the prime implicants of the ``on`` mask.
+
+    A cube is prime when it is an implicant (covers no off-set row) and
+    none of its parents (the cubes with one literal fewer) is one.
+    """
+    covers, _, parents, full, _ = _lattice(n)
+    off = full ^ on
+    primes = []
+    for c, cov in enumerate(covers):
+        if cov & off:
+            continue
+        for q in parents[c]:
+            if not covers[q] & off:
+                break
+        else:
+            primes.append(c)
+    return primes
+
+
 def _min_cover(
     pcov: list[int],
     plit: list[int],
@@ -142,7 +162,8 @@ def _min_cover(
 
     def rec(uncov: int, terms: int, lits: int) -> None:
         nodes[0] += 1
-        if nodes[0] & 0x1FFF == 0 and time.monotonic() > deadline:
+        # Every 1,024 nodes: at n=6 that is a few ms of work between checks.
+        if nodes[0] & 0x3FF == 0 and time.monotonic() > deadline:
             raise GuardTimeoutError("SOP count minimization exceeded its time guard")
         if not uncov:
             if (terms, lits) < (best[0], best[1]):
@@ -180,7 +201,7 @@ def _min_cover(
 
 def min_sop_counts(n: int, on: int, guard_s: float = 60.0) -> tuple[int, int]:
     """(terms, literals) of the exact minimum SOP cover of the ``on`` mask."""
-    covers, lits, parents, full, _ = _lattice(n)
+    covers, lits, _, full, _ = _lattice(n)
     if on == 0:
         return (0, 0)
     if on == full:
@@ -188,22 +209,10 @@ def min_sop_counts(n: int, on: int, guard_s: float = 60.0) -> tuple[int, int]:
     if guard_s <= 0:
         raise GuardTimeoutError("SOP count minimization exceeded its time guard")
     deadline = time.monotonic() + guard_s
-    off = full ^ on
-    pcov = []
-    plit = []
-    for c in range(len(covers)):
-        cov = covers[c]
-        if cov & off:
-            continue
-        prime = True
-        for q in parents[c]:
-            if not covers[q] & off:
-                prime = False
-                break
-        if prime:
-            pcov.append(cov)
-            plit.append(lits[c])
-    return _min_cover(pcov, plit, on, deadline)
+    primes = _prime_ids(n, on)
+    return _min_cover(
+        [covers[c] for c in primes], [lits[c] for c in primes], on, deadline
+    )
 
 
 def rm_minima(n: int, mask: int) -> tuple[int, int, int]:

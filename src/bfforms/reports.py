@@ -6,6 +6,10 @@ decimals, round-half-even), and the JSON report keeps every rational as an
 exact numerator/denominator pair next to its decimal rendering.  Output
 bytes depend only on the records, so reruns and different worker counts
 produce identical files.
+
+Every statistic table and the summary derive from one
+:class:`~bfforms.analysis.SweepStats`, built by a single pass over the
+records; only the per-function records table reads the records again.
 """
 
 from __future__ import annotations
@@ -17,15 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import reference
-from .analysis import (
-    SCENARIOS,
-    SUBSET_LABELS,
-    SweepRecord,
-    classify,
-    q_aggregate,
-    rei,
-    specific_weights,
-)
+from .analysis import SCENARIOS, SUBSET_LABELS, SweepRecord, SweepStats, aggregate
 from .costs import CRITERIA
 
 SCHEMA_SWEEP = "bfforms.sweep-report/1"
@@ -89,13 +85,13 @@ def _rational_json(value: Fraction) -> dict:
     }
 
 
-def rei_table(records: list[SweepRecord]) -> ReportTable:
+def rei_table(stats: SweepStats) -> ReportTable:
     rows = []
     for variant in REI_VARIANTS:
         for form in ("cfr", "afr", "rm", "ofr"):
             cells: list = [variant, form]
             for criterion in CRITERIA:
-                cells.append(rei(records, form, criterion, variant).eta)
+                cells.append(stats.rei(form, criterion, variant).eta)
             rows.append(tuple(cells))
     return ReportTable(
         title="relative efficiency index",
@@ -110,16 +106,15 @@ def weight_stderr(weight: Fraction, n_max: int) -> float:
     return math.sqrt(p * (1.0 - p) / n_max)
 
 
-def weights_table(records: list[SweepRecord], sampled: bool) -> ReportTable:
-    n_max = len(records)
+def weights_table(stats: SweepStats, sampled: bool) -> ReportTable:
     headers = ("criterion", "label", "weight") + (("stderr",) if sampled else ())
     rows = []
     for criterion in CRITERIA:
-        weights = specific_weights(records, criterion)
+        weights = stats.specific_weights(criterion)
         for label in SUBSET_LABELS:
             row: list = [criterion, label, weights[label]]
             if sampled:
-                row.append(f"{weight_stderr(weights[label], n_max):.6f}")
+                row.append(f"{weight_stderr(weights[label], stats.n_max):.6f}")
             rows.append(tuple(row))
     return ReportTable(
         title="specific weights of priority subsets",
@@ -128,11 +123,11 @@ def weights_table(records: list[SweepRecord], sampled: bool) -> ReportTable:
     )
 
 
-def losses_table(records: list[SweepRecord]) -> ReportTable:
+def losses_table(stats: SweepStats) -> ReportTable:
     rows = []
     for criterion in ("s_ad", "s_s"):
         for scenario in SCENARIOS:
-            loss = q_aggregate(records, scenario, criterion)
+            loss = stats.q_aggregate(scenario, criterion)
             rows.append(
                 (
                     criterion,
@@ -173,7 +168,7 @@ def records_table(records: list[SweepRecord]) -> ReportTable:
 
 
 def summary_json(
-    records: list[SweepRecord],
+    stats: SweepStats,
     n: int,
     sampled: dict | None = None,
 ) -> dict:
@@ -184,7 +179,7 @@ def summary_json(
         for form in ("cfr", "afr", "rm", "ofr"):
             per_form = {}
             for criterion in CRITERIA:
-                result = rei(records, form, criterion, variant)
+                result = stats.rei(form, criterion, variant)
                 per_form[criterion] = dict(
                     _rational_json(result.eta), s_mm=result.s_mm
                 )
@@ -192,12 +187,12 @@ def summary_json(
 
     weights_block: dict = {}
     for criterion in CRITERIA:
-        weights = specific_weights(records, criterion)
+        weights = stats.specific_weights(criterion)
         weights_block[criterion] = {
             label: dict(
                 _rational_json(weights[label]),
                 **(
-                    {"stderr": round(weight_stderr(weights[label], len(records)), 8)}
+                    {"stderr": round(weight_stderr(weights[label], stats.n_max), 8)}
                     if sampled
                     else {}
                 ),
@@ -211,7 +206,7 @@ def summary_json(
         losses_block[criterion] = {}
         computed_losses[criterion] = {}
         for scenario in SCENARIOS:
-            loss = q_aggregate(records, scenario, criterion)
+            loss = stats.q_aggregate(scenario, criterion)
             losses_block[criterion][scenario] = {
                 "q": loss.q,
                 "absolute_benefit": loss.absolute_benefit,
@@ -222,24 +217,24 @@ def summary_json(
 
     computed_rei = {
         form: {
-            criterion: rei(records, form, criterion, "literal").eta
+            criterion: stats.rei(form, criterion, "literal").eta
             for criterion in CRITERIA
         }
         for form in ("cfr", "afr", "rm", "ofr")
     }
 
-    meta: dict = {"n": n, "record_count": len(records), "sampled": bool(sampled)}
+    meta: dict = {"n": n, "record_count": stats.n_max, "sampled": bool(sampled)}
     if sampled:
         meta.update(sampled)
         max_se = max(
-            weight_stderr(specific_weights(records, c)[label], len(records))
+            weight_stderr(stats.specific_weights(c)[label], stats.n_max)
             for c in CRITERIA
             for label in SUBSET_LABELS
         )
         meta["max_weight_stderr"] = round(max_se, 8)
         meta["max_weight_ci95_halfwidth"] = round(1.96 * max_se, 8)
-    meta["max_min_afr_summands"] = max(r.cost_afr.s_ad for r in records)
-    meta["max_min_rm_summands"] = max(r.cost_rm.s_ad for r in records)
+    meta["max_min_afr_summands"] = stats.maxima["afr", "s_ad"]
+    meta["max_min_rm_summands"] = stats.maxima["rm", "s_ad"]
 
     out = {
         "schema": SCHEMA_SWEEP,
@@ -269,17 +264,18 @@ def write_sweep_reports(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
+    stats = aggregate(records)
     tables = {
         "records.csv": records_table(records),
-        "rei.csv": rei_table(records),
-        "weights.csv": weights_table(records, sampled is not None),
-        "losses.csv": losses_table(records),
+        "rei.csv": rei_table(stats),
+        "weights.csv": weights_table(stats, sampled is not None),
+        "losses.csv": losses_table(stats),
     }
     for name, table in tables.items():
         path = out / name
         path.write_text(table.render_csv(), encoding="ascii", newline="\n")
         written.append(path)
-    summary = summary_json(records, n, sampled)
+    summary = summary_json(stats, n, sampled)
     path = out / "summary.json"
     path.write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n",

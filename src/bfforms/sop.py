@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 
 from . import kernels
-from ._kernels_py import _lattice
+from ._kernels_py import _prime_ids
 from .errors import GuardTimeoutError
 from .guard import resolve_guard
 from .truthtable import Assignment, TruthTable
@@ -156,12 +156,8 @@ def prime_implicants(tt: TruthTable) -> list[Cube]:
     n = tt.n
     if tt.index == 0:
         raise ValueError("constant-0 function has no implicants")
-    covers, _, parents, full, _ = _lattice(n)
-    off = full ^ tt.index
     primes = []
-    for c, cov in enumerate(covers):
-        if cov & off or not all(covers[q] & off for q in parents[c]):
-            continue
+    for c in _prime_ids(n, tt.index):
         # Lattice digit p: 0 = x absent, 1 = negative, 2 = positive literal.
         care = value = 0
         d = c

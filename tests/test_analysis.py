@@ -1,9 +1,15 @@
+from dataclasses import astuple, is_dataclass
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bfforms import costs
 from bfforms.analysis import (
+    SCENARIOS,
     SUBSET_LABELS,
+    SweepRecord,
     analyze_function,
     analyze_record,
     classify,
@@ -223,3 +229,119 @@ def test_ofr_is_pointwise_minimum(sweep3):
                 rec.cost("afr", criterion),
                 rec.cost("rm", criterion),
             )
+
+
+# Per-cell formulas that scan every record for every cell, kept as the
+# oracle for the one-pass aggregate behind rei, specific_weights and
+# q_aggregate.
+def oracle_rei(records, form, criterion, variant="literal"):
+    records = list(records)
+    if not records:
+        raise ValueError("empty record set")
+    if variant not in ("literal", "normalized"):
+        raise ValueError(f"unknown variant {variant!r}")
+    n_max = len(records)
+    s_mm = max(
+        rec.cost(f, criterion) for rec in records for f in ("cfr", "afr", "rm", "ofr")
+    )
+    if variant == "literal" and s_mm == 0:
+        raise ValueError("degenerate s_mm: every cost is zero under the literal variant")
+    histogram = [0] * (s_mm + 1)
+    for rec in records:
+        histogram[rec.cost(form, criterion)] += 1
+    total = 0
+    running = 0
+    for j in range(s_mm + 1):
+        running += histogram[j]
+        total += running
+    denominator = n_max * (s_mm if variant == "literal" else s_mm + 1)
+    return (form, criterion, variant, Fraction(total, denominator), s_mm, n_max)
+
+
+def oracle_weights(records, criterion):
+    records = list(records)
+    if not records:
+        raise ValueError("empty record set")
+    tally = {label: 0 for label in SUBSET_LABELS}
+    for rec in records:
+        tally[classify(rec, criterion)] += 1
+    return {label: Fraction(count, len(records)) for label, count in tally.items()}
+
+
+def oracle_scenario_cost(rec, scenario, criterion):
+    forms = {
+        "cfr": ("cfr",),
+        "cfr+afr": ("cfr", "afr"),
+        "cfr+rm": ("cfr", "rm"),
+        "ofr": ("ofr",),
+    }[scenario]
+    return min(rec.cost(f, criterion) for f in forms)
+
+
+def oracle_q(records, scenario, criterion):
+    if criterion not in ("s_ad", "s_s"):
+        raise ValueError(f"loss aggregates are defined for s_ad and s_s, got {criterion!r}")
+    if scenario not in SCENARIOS:
+        raise ValueError(f"unknown scenario {scenario!r}")
+    records = list(records)
+    if not records:
+        raise ValueError("empty record set")
+    q = sum(oracle_scenario_cost(rec, scenario, criterion) for rec in records)
+    q_cfr = sum(rec.cost("cfr", criterion) for rec in records)
+    benefit = q_cfr - q
+    return (
+        scenario,
+        criterion,
+        q,
+        benefit,
+        Fraction(100 * benefit, q_cfr) if q_cfr else Fraction(0),
+        Fraction(100 * benefit, q) if q else Fraction(0),
+    )
+
+
+def outcome(fn, *args):
+    """The result as plain values, or the raised ValueError's message."""
+    try:
+        result = fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+    return astuple(result) if is_dataclass(result) else result
+
+
+_counts = st.one_of(
+    st.just((0, 0, 0)),
+    st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 8)),
+)
+
+
+@st.composite
+def record_lists(draw):
+    n = draw(st.integers(1, 4))
+    triples = draw(st.lists(st.tuples(_counts, _counts, _counts), max_size=12))
+    return [
+        SweepRecord(
+            index=i,
+            cost_cfr=costs.from_counts(n, *c, dual_rail=True),
+            cost_afr=costs.from_counts(n, *a, dual_rail=False),
+            cost_rm=costs.from_counts(n, *r, dual_rail=False),
+        )
+        for i, (c, a, r) in enumerate(triples)
+    ]
+
+
+@settings(deadline=None, max_examples=150)
+@given(record_lists())
+def test_aggregate_matches_per_cell_oracle(records):
+    criteria = CRITERIA + ("s_x",)
+    for variant in ("literal", "normalized", "half-open"):
+        for form in ("cfr", "afr", "rm", "ofr", "best"):
+            for criterion in criteria:
+                args = (records, form, criterion, variant)
+                assert outcome(rei, *args) == outcome(oracle_rei, *args)
+    for criterion in criteria:
+        args = (records, criterion)
+        assert outcome(specific_weights, *args) == outcome(oracle_weights, *args)
+    for scenario in SCENARIOS + ("afr",):
+        for criterion in ("s_ad", "s_s", "s_l"):
+            args = (records, scenario, criterion)
+            assert outcome(q_aggregate, *args) == outcome(oracle_q, *args)

@@ -11,8 +11,10 @@ and the golden covers in ``tests/data/golden_covers.txt``.
 """
 
 import os
+import statistics
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -118,6 +120,19 @@ def test_guard_zero_aborts(impl):
     # Trivial cases never need the cover search and stay exempt.
     assert impl.min_sop_counts(3, 0, 0.0) == (0, 0)
 
+
+
+def test_pure_guard_overrun_is_small():
+    # The pure cover search checks its deadline every 1,024 nodes; at
+    # 8,192 this function overran a 10 ms guard by about 100 ms.
+    pure._lattice(6)
+    overruns = []
+    for _ in range(5):
+        start = time.monotonic()
+        with pytest.raises(GuardTimeoutError):
+            pure.min_sop_counts(6, 0xCFEDA7CFE8394EFD, 0.01)
+        overruns.append(time.monotonic() - start - 0.01)
+    assert statistics.median(overruns) < 0.030
 
 @needs_compiled
 def test_kernel_selection_env(monkeypatch):

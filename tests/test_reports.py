@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from bfforms import cli
-from bfforms.analysis import sweep
+from bfforms.analysis import aggregate, sweep
 from bfforms.costs import CRITERIA
 from bfforms.reports import (
     ReportTable,
@@ -29,6 +29,11 @@ def sweep3():
     return sweep(3)
 
 
+@pytest.fixture(scope="module")
+def stats3(sweep3):
+    return aggregate(sweep3)
+
+
 def test_format_rational_round_half_even():
     assert format_rational(Fraction(1, 2000)) == "0.000"  # 0.0005 ties to even
     assert format_rational(Fraction(3, 2000)) == "0.002"  # 0.0015 ties to even
@@ -39,8 +44,8 @@ def test_format_rational_round_half_even():
     assert format_rational(Fraction(5, 4), places=0) == "1"
 
 
-def test_rendered_csv_round_trips_at_precision(sweep3):
-    table = rei_table(sweep3)
+def test_rendered_csv_round_trips_at_precision(stats3):
+    table = rei_table(stats3)
     csv = table.render_csv()
     for line in csv.splitlines()[1:]:
         for cell in line.split(",")[2:]:
@@ -48,8 +53,8 @@ def test_rendered_csv_round_trips_at_precision(sweep3):
             assert format_rational(reparsed) == cell
 
 
-def test_csv_conventions(sweep3):
-    csv = weights_table(sweep3, sampled=False).render_csv()
+def test_csv_conventions(stats3):
+    csv = weights_table(stats3, sampled=False).render_csv()
     assert "\r" not in csv
     assert csv.endswith("\n")
     assert csv.splitlines()[0] == "criterion,label,weight"
@@ -61,16 +66,16 @@ def test_report_table_width_check():
         table.render_csv()
 
 
-def test_rei_table_shape(sweep3):
-    table = rei_table(sweep3)
+def test_rei_table_shape(stats3):
+    table = rei_table(stats3)
     assert table.headers == ("variant", "form") + CRITERIA
     assert len(table.rows) == 8  # 2 variants x 4 forms
     forms = [row[1] for row in table.rows]
     assert forms == ["cfr", "afr", "rm", "ofr"] * 2
 
 
-def test_summary_json_structure(sweep3):
-    summary = summary_json(sweep3, 3)
+def test_summary_json_structure(stats3):
+    summary = summary_json(stats3, 3)
     assert summary["schema"] == "bfforms.sweep-report/1"
     eta = summary["rei"]["literal"]["cfr"]["s_ad"]
     assert set(eta) == {"num", "den", "decimal", "s_mm"}
@@ -82,8 +87,8 @@ def test_summary_json_structure(sweep3):
     assert summary["meta"]["max_min_afr_summands"] == 7
 
 
-def test_summary_json_sampled_stderr(sweep3):
-    summary = summary_json(sweep3, 3, sampled={"count": 256, "seed": 1})
+def test_summary_json_sampled_stderr(stats3):
+    summary = summary_json(stats3, 3, sampled={"count": 256, "seed": 1})
     assert summary["meta"]["sampled"] is True
     assert 0 < summary["meta"]["max_weight_stderr"] < 0.05
     weights = summary["weights"]["s_ad"]
@@ -108,8 +113,7 @@ def test_write_sweep_reports_files(tmp_path, sweep3):
 
 
 def test_no_reference_section_for_n2(tmp_path):
-    records = sweep(2)
-    summary = summary_json(records, 2)
+    summary = summary_json(aggregate(sweep(2)), 2)
     assert "reference_comparison" not in summary
 
 
