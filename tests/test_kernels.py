@@ -10,11 +10,13 @@ the SOP optimum are the brute-force ``conftest.oracle_min_cover`` (n <= 4)
 and the golden covers in ``tests/data/golden_covers.txt``.
 """
 
+import hashlib
 import os
 import statistics
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +37,22 @@ BACKENDS = [pure] + ([compiled] if compiled else [])
 needs_compiled = pytest.mark.skipif(
     compiled is None, reason="compiled kernels not built"
 )
+
+GOLDEN_MINIMA = Path(__file__).parent / "data" / "golden_polarity_minima.sha256"
+GOLDEN_MINIMA_SETS = {
+    "n4_all": (4, lambda: range(1 << 16)),
+    "n5_seed55": (5, lambda: sample_uniform(5, 2048, seed=55)),
+    "n6_seed66": (6, lambda: sample_uniform(6, 200, seed=66)),
+}
+
+
+def minima_digest(n: int, indices) -> str:
+    """sha256 of one "index rm_ad rm_sh rm_l af_ad af_sh af_l" line per index."""
+    h = hashlib.sha256()
+    for index in indices:
+        row = pure.rm_minima(n, index) + pure.arith_minima(n, index)
+        h.update(f"{index:x} {' '.join(map(str, row))}\n".encode())
+    return h.hexdigest()
 
 
 def library_counts(tt: TruthTable) -> tuple[int, ...]:
@@ -80,6 +98,19 @@ def test_kernel_matches_library_seeded_n5(impl):
     for index in sample_uniform(5, 8, seed=505):
         tt = TruthTable.from_index(5, index)
         assert impl.analyze_counts(5, index, 60.0) == library_counts(tt)
+
+
+def test_polarity_minima_match_golden_digests():
+    # Digests recorded from the per-polarity butterfly scans, before the
+    # polarity minima moved to one extended-transform pass.
+    expected = {}
+    for line in GOLDEN_MINIMA.read_text().splitlines():
+        if line and not line.startswith("#"):
+            digest, name = line.split()
+            expected[name] = digest
+    assert expected.keys() == GOLDEN_MINIMA_SETS.keys()
+    for name, (n, indices) in GOLDEN_MINIMA_SETS.items():
+        assert minima_digest(n, indices()) == expected[name], name
 
 
 @needs_compiled
