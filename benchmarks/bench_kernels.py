@@ -3,7 +3,9 @@
 
 Times `analyze_counts` throughput (the per-function work of a sweep) over
 an exhaustive n=4 slice and a seeded n=5 sample, then prints functions per
-second and the speedup.  Usage:
+second and the speedup.  For the pure backend it also times its two layers
+on the same indices: the SOP cover search (`min_sop_counts`) and the
+polarity scan of both polynomial forms (`polarity_minima`).  Usage:
 
     python benchmarks/bench_kernels.py [--n4-count 8192] [--n5-count 2048]
 """
@@ -30,6 +32,13 @@ def bench(impl, n, indices):
     return elapsed, len(indices) / elapsed
 
 
+def bench_layer(fn, n, indices):
+    start = time.perf_counter()
+    for index in indices:
+        fn(n, index)
+    return time.perf_counter() - start
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n4-count", type=int, default=8192)
@@ -47,6 +56,10 @@ def main():
             elapsed, rate = bench(impl, n, indices)
             rates[impl.BACKEND] = rate
             print(f"  {impl.BACKEND:9s} {elapsed:8.3f}s  {rate:10.0f} fn/s")
+            if impl is _kernels_py:
+                for fn in (impl.min_sop_counts, impl.polarity_minima):
+                    elapsed = bench_layer(fn, n, indices)
+                    print(f"    {fn.__name__:16s} {elapsed:8.3f}s")
         if len(rates) == 2:
             print(f"  speedup   {rates['compiled'] / rates['pure']:8.1f}x")
         else:

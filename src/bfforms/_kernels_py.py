@@ -10,6 +10,17 @@ The SOP side enumerates the full ternary cube lattice (3**n cubes, each
 with a precomputed row-coverage mask), keeps the prime implicants, selects
 the essential ones, and finishes the cyclic core with branch-and-bound on
 (term count, literal count).
+
+The polarity side computes the extended vector of Davio, Deschamps and
+Thayse (*Discrete and Switching Functions*, 1978): 3**n integers whose
+base-3 index digit p picks, for variable p, the x_p=0 cofactor (0), the
+x_p=1 cofactor (1) or their difference f1 - f0 (2).  The arithmetic
+coefficient of monomial j under polarity k sits, up to sign, at the index
+with digit 2 where bit p of j is set and bit p of k elsewhere; its parity
+is the Reed-Muller coefficient.  So one O(n * 3**n) pass yields every
+polarity's coefficients in both forms.  n more passes fold each digit into
+a polarity bit, summing the nonzero-coefficient counts and their literal
+counts per polarity for both forms at once.
 """
 
 from __future__ import annotations
@@ -22,7 +33,13 @@ from .errors import GuardTimeoutError
 BACKEND = "pure"
 
 _LATTICE_CACHE: dict[int, tuple] = {}
-_POPCOUNT: list[int] = [bin(j).count("1") for j in range(64)]
+
+# An extended-vector entry packed as four 8-bit fields, low to high: RM
+# nonzero count, RM literals, arithmetic nonzero count, arithmetic literals.
+# Counts reach 2**n = 64 and literal sums n * 2**(n-1) = 192 at n = 6.
+# Entries lie in -32..32 at n <= 6; negative ones index from the end.
+_PACK = [(e & 1) | (e != 0) << 16 for e in [*range(33), *range(-32, 0)]]
+_COUNTS = 0xFF | 0xFF << 16
 
 
 def _lattice(n: int):
@@ -68,7 +85,7 @@ def _lattice(n: int):
         covers[c] = mask
         lits[c] = lc
         parents[c] = tuple(par)
-    result = (covers, lits, parents, full, pat0)
+    result = (covers, lits, parents, full)
     _LATTICE_CACHE[n] = result
     return result
 
@@ -79,7 +96,7 @@ def _prime_ids(n: int, on: int) -> list[int]:
     A cube is prime when it is an implicant (covers no off-set row) and
     none of its parents (the cubes with one literal fewer) is one.
     """
-    covers, _, parents, full, _ = _lattice(n)
+    covers, _, parents, full = _lattice(n)
     off = full ^ on
     primes = []
     for c, cov in enumerate(covers):
@@ -201,7 +218,7 @@ def _min_cover(
 
 def min_sop_counts(n: int, on: int, guard_s: float = 60.0) -> tuple[int, int]:
     """(terms, literals) of the exact minimum SOP cover of the ``on`` mask."""
-    covers, lits, _, full, _ = _lattice(n)
+    covers, lits, _, full = _lattice(n)
     if on == 0:
         return (0, 0)
     if on == full:
@@ -215,78 +232,48 @@ def min_sop_counts(n: int, on: int, guard_s: float = 60.0) -> tuple[int, int]:
     )
 
 
-def rm_minima(n: int, mask: int) -> tuple[int, int, int]:
-    """Per-criterion minima over all polarities of the Reed-Muller form.
+def polarity_minima(n: int, mask: int) -> tuple[int, ...]:
+    """Per-criterion minima over all polarities of both polynomial forms.
 
-    Returns (min summands, min conjunction-summands, min literals); the
-    three minima may come from different polarities.
+    Returns (rm_ad, rm_sh, rm_l, af_ad, af_sh, af_l): the minimum summands,
+    conjunction-summands and literals of the Reed-Muller and then the
+    arithmetic form.  The three minima of a form may come from different
+    polarities.  Holds for n <= 6, the range ``_PACK`` and its fields cover.
     """
-    _, _, _, full, pat0 = _lattice(n)
-    rows = 1 << n
-    pop = _POPCOUNT
-    best_ad = best_sh = best_l = None
-    for k in range(rows):
-        c = mask
-        for p in range(n):
-            stride = 1 << p
-            lo_mask = pat0[p]
-            if (k >> p) & 1:
-                hi = ((c << stride) ^ c) & (full ^ lo_mask)
-                c = ((c >> stride) & lo_mask) | hi
-            else:
-                c = (c ^ ((c & lo_mask) << stride)) & full
-        ad = bin(c).count("1")
-        sh = ad - (c & 1)
-        l = 0
-        w = c & ~1
-        while w:
-            j = (w & -w).bit_length() - 1
-            w &= w - 1
-            l += pop[j]
-        if best_ad is None or ad < best_ad:
-            best_ad = ad
-        if best_sh is None or sh < best_sh:
-            best_sh = sh
-        if best_l is None or l < best_l:
-            best_l = l
-    return best_ad, best_sh, best_l
+    # Each pass turns the lowest remaining row bit into the next digit.
+    v = [(mask >> x) & 1 for x in range(1 << n)]
+    for _ in range(n):
+        lo = v[0::2]
+        hi = v[1::2]
+        v = lo + hi + [h - l for l, h in zip(lo, hi)]
+    v = [_PACK[e] for e in v]
+    # Fold digit p: digits 0 and 1 become polarity bit p, and digit 2 (x_p
+    # in the monomial) joins both, each of its monomials one literal longer.
+    for _ in range(n):
+        d2 = [t + ((t & _COUNTS) << 8) for t in v[2::3]]
+        v = [t + u for t, u in zip(v[0::3], d2)] + [
+            t + u for t, u in zip(v[1::3], d2)
+        ]
+    # Under polarity k the constant coefficient is f(k) in both forms.
+    minima: list[int] = []
+    for shift in (0, 16):
+        ad = [(t >> shift) & 0xFF for t in v]
+        minima += [
+            min(ad),
+            min(a - ((mask >> k) & 1) for k, a in enumerate(ad)),
+            min((t >> shift + 8) & 0xFF for t in v),
+        ]
+    return tuple(minima)
+
+
+def rm_minima(n: int, mask: int) -> tuple[int, int, int]:
+    """The Reed-Muller half of :func:`polarity_minima`."""
+    return polarity_minima(n, mask)[:3]
 
 
 def arith_minima(n: int, mask: int) -> tuple[int, int, int]:
-    """Same as :func:`rm_minima` for the arithmetic (integer) form."""
-    rows = 1 << n
-    pop = _POPCOUNT
-    base = [(mask >> x) & 1 for x in range(rows)]
-    best_ad = best_sh = best_l = None
-    for k in range(rows):
-        arr = base.copy()
-        for p in range(n):
-            stride = 1 << p
-            neg = (k >> p) & 1
-            for i in range(rows):
-                if i & stride:
-                    continue
-                lo = arr[i]
-                hi = arr[i | stride]
-                if neg:
-                    arr[i] = hi
-                    arr[i | stride] = lo - hi
-                else:
-                    arr[i | stride] = hi - lo
-        ad = sh = l = 0
-        for j in range(rows):
-            if arr[j]:
-                ad += 1
-                if j:
-                    sh += 1
-                    l += pop[j]
-        if best_ad is None or ad < best_ad:
-            best_ad = ad
-        if best_sh is None or sh < best_sh:
-            best_sh = sh
-        if best_l is None or l < best_l:
-            best_l = l
-    return best_ad, best_sh, best_l
+    """The arithmetic half of :func:`polarity_minima`."""
+    return polarity_minima(n, mask)[3:]
 
 
 def analyze_counts(n: int, index: int, guard_s: float = 60.0) -> tuple[int, ...]:
@@ -299,9 +286,7 @@ def analyze_counts(n: int, index: int, guard_s: float = 60.0) -> tuple[int, ...]
     terms, literals = min_sop_counts(n, index, guard_s)
     full = (1 << (1 << n)) - 1
     conj = terms - 1 if index == full else terms
-    rm = rm_minima(n, index)
-    af = arith_minima(n, index)
-    return (terms, conj, literals) + rm + af
+    return (terms, conj, literals) + polarity_minima(n, index)
 
 
 def sweep_counts(

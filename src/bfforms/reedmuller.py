@@ -121,9 +121,13 @@ def scan_polarities(tt: TruthTable, criterion: str, transform, cost):
     """Cheapest ``transform(tt, p)`` under ``criterion`` over all 2**n polarities.
 
     ``cost`` maps a polynomial to its CostVector.  Ties break toward the
-    lowest polarity integer.  Each polarity is transformed from scratch; a
-    Gray-code incremental scan would save a constant factor but n <= 6
-    keeps the full scan trivial.  Returns (polarity, polynomial).
+    lowest polarity integer.  Returns (polarity, polynomial).
+
+    Each polarity is transformed from scratch.  The sweep kernels get the
+    minimum costs of every polarity from one extended-transform pass
+    (``_kernels_py.polarity_minima``), but that pass yields counts only;
+    this scan must return the winning polynomial itself, and at n <= 6 it
+    is at most 64 transforms per call.
     """
     if criterion not in costs.CRITERIA:
         raise ValueError(f"unknown criterion {criterion!r}")

@@ -55,10 +55,9 @@ def minima_digest(n: int, indices) -> str:
     return h.hexdigest()
 
 
-def library_counts(tt: TruthTable) -> tuple[int, ...]:
-    """The nine sweep counts recomputed through the slow library path."""
+def library_polarity_minima(tt: TruthTable) -> tuple[int, ...]:
+    """The six RM and arithmetic minima from per-polarity library transforms."""
     n = tt.n
-    sop_cost = cost_of_sop(minimize_sop(tt))
     rm_costs = [
         cost_of_rm(fprm_transform(tt, PolarityVector.from_int(n, k)))
         for k in range(1 << n)
@@ -68,9 +67,6 @@ def library_counts(tt: TruthTable) -> tuple[int, ...]:
         for k in range(1 << n)
     ]
     return (
-        sop_cost.s_ad,
-        sop_cost.s_sh,
-        sop_cost.s_l,
         min(c.s_ad for c in rm_costs),
         min(c.s_sh for c in rm_costs),
         min(c.s_l for c in rm_costs),
@@ -78,6 +74,12 @@ def library_counts(tt: TruthTable) -> tuple[int, ...]:
         min(c.s_sh for c in af_costs),
         min(c.s_l for c in af_costs),
     )
+
+
+def library_counts(tt: TruthTable) -> tuple[int, ...]:
+    """The nine sweep counts recomputed through the slow library path."""
+    sop_cost = cost_of_sop(minimize_sop(tt))
+    return (sop_cost.s_ad, sop_cost.s_sh, sop_cost.s_l) + library_polarity_minima(tt)
 
 
 @pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
@@ -111,6 +113,26 @@ def test_polarity_minima_match_golden_digests():
     assert expected.keys() == GOLDEN_MINIMA_SETS.keys()
     for name, (n, indices) in GOLDEN_MINIMA_SETS.items():
         assert minima_digest(n, indices()) == expected[name], name
+
+
+# Constants, single minterms at both ends, parity and a half-constant
+# function reach the largest extended-vector entries and the widest
+# per-polarity literal sums (64 monomials, 192 literals).
+N6_EXTREMES = [
+    0,
+    (1 << 64) - 1,
+    1,
+    1 << 63,
+    0x6996966996696996,
+    0xFFFF0000FFFF0000,
+] + sample_uniform(6, 10, seed=606)
+
+
+@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
+@pytest.mark.parametrize("index", N6_EXTREMES, ids=hex)
+def test_polarity_minima_match_library_n6(impl, index):
+    expected = library_polarity_minima(TruthTable.from_index(6, index))
+    assert impl.rm_minima(6, index) + impl.arith_minima(6, index) == expected
 
 
 @needs_compiled
