@@ -21,6 +21,7 @@ GOLDEN_REPORTS = Path(__file__).parent / "data" / "golden_reports.sha256"
 GOLDEN_RUNS = {
     "sweep3": ["sweep", "--n", "3", "--jobs", "1"],
     "sample5": ["sample", "--n", "5", "--count", "512", "--seed", "7", "--jobs", "1"],
+    "sweep4": ["sweep", "--n", "4", "--jobs", "1"],
 }
 
 
@@ -118,13 +119,14 @@ def test_no_reference_section_for_n2(tmp_path):
 
 
 def test_report_bytes_match_golden_digests(tmp_path):
-    # Digests recorded before the statistics moved to one aggregate pass.
+    # Digests recorded before the statistics moved to one aggregate pass
+    # (sweep3, sample5) and before sweeps moved to NP classes (sweep4).
     expected = {}
     for line in GOLDEN_REPORTS.read_text().splitlines():
         if line and not line.startswith("#"):
             digest, name = line.split()
             expected[name] = digest
-    assert len(expected) == 10
+    assert len(expected) == 15
     for label, argv in GOLDEN_RUNS.items():
         assert cli.main(argv + ["--out", str(tmp_path / label)]) == 0
     for name, digest in expected.items():
