@@ -5,7 +5,9 @@ Times `analyze_counts` throughput (the per-function work of a sweep) over
 an exhaustive n=4 slice and a seeded n=5 sample, then prints functions per
 second and the speedup.  For the pure backend it also times its two layers
 on the same indices: the SOP cover search (`min_sop_counts`) and the
-polarity scan of both polynomial forms (`polarity_minima`).  Usage:
+polarity scan of both polynomial forms (`polarity_minima`).  Last, it
+times the NP-class enumeration that exhaustive sweeps run before the
+kernel, for n=3 and n=4, and prints the class counts.  Usage:
 
     python benchmarks/bench_kernels.py [--n4-count 8192] [--n5-count 2048]
 """
@@ -13,7 +15,7 @@ polarity scan of both polynomial forms (`polarity_minima`).  Usage:
 import argparse
 import time
 
-from bfforms import _kernels_py
+from bfforms import _kernels_py, npclasses
 from bfforms.truthtable import sample_uniform
 
 try:
@@ -64,6 +66,12 @@ def main():
             print(f"  speedup   {rates['compiled'] / rates['pure']:8.1f}x")
         else:
             print("  (compiled backend not built; install with Cython to compare)")
+    for n in (3, 4):
+        npclasses._CLASS_CACHE.pop(n, None)
+        start = time.perf_counter()
+        classes = npclasses.np_classes(n)
+        elapsed = time.perf_counter() - start
+        print(f"n={n} NP classes: {len(classes.representatives)} in {elapsed:.3f}s")
 
 
 if __name__ == "__main__":

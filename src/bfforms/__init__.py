@@ -17,6 +17,7 @@ from .analysis import (
     SCENARIOS,
     SUBSET_LABELS,
     SweepRecord,
+    SweepRecords,
     SweepStats,
     aggregate,
     analyze_function,
@@ -83,6 +84,7 @@ __all__ = [
     "SUBSET_LABELS",
     "SopForm",
     "SweepRecord",
+    "SweepRecords",
     "SweepStats",
     "TruthTable",
     "aggregate",

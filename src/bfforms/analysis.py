@@ -13,6 +13,7 @@ best achievable value for exactly that criterion.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -22,6 +23,7 @@ from . import costs, kernels
 from .arith import best_arith_polarity, ArithPolynomial
 from .costs import CostVector
 from .guard import resolve_guard
+from .npclasses import np_classes
 from .reedmuller import best_polarity, PolarityVector, RmPolynomial
 from .sop import minimize_sop, SopForm
 from .truthtable import TruthTable, sample_uniform
@@ -87,6 +89,60 @@ class LossReport:
     percent_of_scenario: Fraction
 
 
+@dataclass(frozen=True, eq=False, repr=False)
+class SweepRecords(Sequence):
+    """The records of a sweep, stored as one record per class of functions.
+
+    Functions of one class share their costs, so only the class's record is
+    kept: ``indices[i]`` is the function at position ``i``,
+    ``class_of[i]`` its class, ``class_records[c]`` the record of class
+    ``c`` (carrying the index of one of its functions) and
+    ``class_sizes[c]`` the number of positions in class ``c``.  An
+    exhaustive sweep has one class per NP class; a sampled sweep, or any
+    plain list of records, one class per record.  Indexing and iteration
+    yield a :class:`SweepRecord` per function, equal to the one built for
+    that function alone.
+    """
+
+    indices: Sequence[int]
+    class_of: Sequence[int]
+    class_records: Sequence[SweepRecord]
+    class_sizes: Sequence[int]
+
+    @classmethod
+    def of(cls, records) -> SweepRecords:
+        """``records`` as a SweepRecords: itself, or one class per record."""
+        if isinstance(records, cls):
+            return records
+        records = tuple(records)
+        count = len(records)
+        return cls(
+            [rec.index for rec in records], range(count), records, (1,) * count
+        )
+
+    def _record(self, index: int, c: int) -> SweepRecord:
+        rec = self.class_records[c]
+        if rec.index == index:
+            return rec
+        return SweepRecord(index, rec.cost_cfr, rec.cost_afr, rec.cost_rm)
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return self._record(self.indices[i], self.class_of[i])
+
+    def __iter__(self):
+        return map(self._record, self.indices, self.class_of)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
 def _record_from_counts(index: int, n: int, c: tuple[int, ...]) -> SweepRecord:
     return SweepRecord(
         index=index,
@@ -135,11 +191,12 @@ def analyze_function(
         raise ValueError(f"unknown criterion {criterion!r}")
     n, index = tt.n, tt.index
     sop = minimize_sop(tt, guard_s)
+    minima = kernels.polarity_minima(n, index)
     record = SweepRecord(
         index=index,
         cost_cfr=costs.cost_of_sop(sop),
-        cost_rm=costs.from_counts(n, *kernels.rm_minima(n, index), dual_rail=False),
-        cost_afr=costs.from_counts(n, *kernels.arith_minima(n, index), dual_rail=False),
+        cost_rm=costs.from_counts(n, *minima[:3], dual_rail=False),
+        cost_afr=costs.from_counts(n, *minima[3:], dual_rail=False),
     )
     pk, rm_poly = best_polarity(tt, criterion)
     ak, af_poly = best_arith_polarity(tt, criterion)
@@ -268,14 +325,19 @@ def aggregate(records) -> SweepStats:
 
     The pass tallies, per criterion, the records by their (cfr, afr, rm)
     cost triple; the statistics then fold over the distinct triples.  A
-    tally is bounded by the cost range, not the record count: 104 to 309
-    triples per criterion over the 65,536 functions at n=4.
+    :class:`SweepRecords` is tallied once per class, weighted by the class
+    size; any other sequence of records counts each record once.  A tally
+    is bounded by the cost range, not the record count: 104 to 309 triples
+    per criterion over the 65,536 functions at n=4.
     """
+    recs = SweepRecords.of(records)
     tallies = [Counter() for _ in costs.CRITERIA]
-    for rec in records:
+    for rec, size in zip(recs.class_records, recs.class_sizes):
+        if not size:
+            continue
         triples = zip(_COSTS(rec.cost_cfr), _COSTS(rec.cost_afr), _COSTS(rec.cost_rm))
         for tally, triple in zip(tallies, triples):
-            tally[triple] += 1
+            tally[triple] += size
     sums = dict.fromkeys(product(_SCOPES, costs.CRITERIA), 0)
     maxima = dict.fromkeys(sums, 0)
     labels = {c: dict.fromkeys(SUBSET_LABELS, 0) for c in costs.CRITERIA}
@@ -312,54 +374,58 @@ def q_aggregate(records, scenario: str, criterion: str) -> LossReport:
     return aggregate(records).q_aggregate(scenario, criterion)
 
 
-def _sweep_chunk(args: tuple[int, int, int, float]) -> list[tuple[int, ...]]:
-    n, start, stop, guard = args
-    return kernels.sweep_counts(n, start, stop, guard)
-
-
 def _batch_chunk(args: tuple[int, tuple[int, ...], float]) -> list[tuple[int, ...]]:
     n, indices, guard = args
     return kernels.analyze_batch(n, indices, guard)
 
 
-def _run_jobs(worker, chunks, jobs: int):
+def _run_jobs(chunks, jobs: int):
     if jobs <= 1 or len(chunks) <= 1:
-        results = [worker(c) for c in chunks]
+        results = [_batch_chunk(c) for c in chunks]
     else:
         # Imported here: multiprocessing adds about 2 MB to every process
         # that loads bfforms, and single-job runs never use it.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(worker, chunks))
+            results = list(pool.map(_batch_chunk, chunks))
     merged: list[tuple[int, ...]] = []
     for part in results:
         merged.extend(part)
     return merged
 
 
-def sweep(n: int, jobs: int = 1, guard_s: float | None = None) -> list[SweepRecord]:
+def sweep(n: int, jobs: int = 1, guard_s: float | None = None) -> SweepRecords:
     """Analyze every function of n variables, ordered by function index.
 
-    The work splits into contiguous index chunks; output is identical for
-    every ``jobs`` value.
+    The kernel's counts are invariant under permuting and complementing
+    inputs (:mod:`bfforms.npclasses`), so it runs once per NP class, on the
+    class's least index, and every function shares its class's record:
+    402 kernel calls for the 65,536 functions of n=4.  ``jobs`` is accepted
+    for symmetry with :func:`sampled_sweep` and has no effect.
     """
     if n not in (1, 2, 3, 4):
         raise ValueError(f"exhaustive sweeps support n in 1..4, got {n}")
-    guard = resolve_guard(guard_s)
-    total = 1 << (1 << n)
-    chunks = [
-        (n, start, min(start + _CHUNK, total), guard)
-        for start in range(0, total, _CHUNK)
-    ]
-    counts = _run_jobs(_sweep_chunk, chunks, jobs)
-    return [_record_from_counts(i, n, c) for i, c in enumerate(counts)]
+    classes = np_classes(n)
+    reps = classes.representatives
+    counts = kernels.analyze_batch(n, reps, resolve_guard(guard_s))
+    return SweepRecords(
+        range(1 << (1 << n)),
+        classes.class_of,
+        tuple(_record_from_counts(i, n, c) for i, c in zip(reps, counts)),
+        classes.sizes,
+    )
 
 
 def sampled_sweep(
     n: int, count: int, seed: int, jobs: int = 1, guard_s: float | None = None
-) -> list[SweepRecord]:
-    """Analyze a seeded uniform sample of functions, in draw order."""
+) -> SweepRecords:
+    """Analyze a seeded uniform sample of functions, in draw order.
+
+    Each draw is its own class: random draws of n=5 almost never share an
+    NP class.  The draws split into chunks over ``jobs`` processes; the
+    result is the same for every ``jobs`` value.
+    """
     if n > 5:
         raise ValueError(f"sampled sweeps support n <= 5, got {n}")
     guard = resolve_guard(guard_s)
@@ -368,7 +434,7 @@ def sampled_sweep(
         (n, tuple(indices[start : start + _CHUNK]), guard)
         for start in range(0, len(indices), _CHUNK)
     ]
-    counts = _run_jobs(_batch_chunk, chunks, jobs)
-    return [
+    counts = _run_jobs(chunks, jobs)
+    return SweepRecords.of(
         _record_from_counts(idx, n, c) for idx, c in zip(indices, counts)
-    ]
+    )

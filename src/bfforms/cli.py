@@ -65,14 +65,20 @@ def _build_parser() -> argparse.ArgumentParser:
     swp = sub.add_parser("sweep", help="exhaustive sweep with report files")
     swp.add_argument("--n", type=int, required=True, choices=(1, 2, 3, 4))
     swp.add_argument("--out", required=True, help="report directory")
-    swp.add_argument("--jobs", type=int, default=1)
+    swp.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="accepted and ignored: a sweep runs the kernel once per NP class, "
+        "402 calls at n=4; --jobs only affects sample",
+    )
 
     smp = sub.add_parser("sample", help="seeded sampled sweep with report files")
     smp.add_argument("--n", type=int, required=True, choices=(1, 2, 3, 4, 5))
     smp.add_argument("--count", type=int, default=65536)
     smp.add_argument("--seed", type=int, required=True)
     smp.add_argument("--out", required=True, help="report directory")
-    smp.add_argument("--jobs", type=int, default=1)
+    smp.add_argument("--jobs", type=int, default=1, help="worker processes")
 
     cnv = sub.add_parser("convert", help="convert a PLA file into a chosen form")
     cnv.add_argument("--pla", required=True)

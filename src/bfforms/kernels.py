@@ -59,6 +59,15 @@ def min_sop_counts(n: int, on: int, guard_s: float = 60.0) -> tuple[int, int]:
     return _impl.min_sop_counts(n, on, guard_s)
 
 
+def polarity_minima(n: int, mask: int) -> tuple[int, ...]:
+    """(rm_ad, rm_sh, rm_l, af_ad, af_sh, af_l): both forms' minima at once."""
+    _check(n, mask)
+    if hasattr(_impl, "polarity_minima"):
+        return _impl.polarity_minima(n, mask)
+    # The compiled twin exports only the two halves.
+    return _impl.rm_minima(n, mask) + _impl.arith_minima(n, mask)
+
+
 def rm_minima(n: int, mask: int) -> tuple[int, int, int]:
     _check(n, mask)
     return _impl.rm_minima(n, mask)

@@ -9,7 +9,8 @@ produce identical files.
 
 Every statistic table and the summary derive from one
 :class:`~bfforms.analysis.SweepStats`, built by a single pass over the
-records; only the per-function records table reads the records again.
+records' classes; the per-function records table renders each class's
+cost cells once and joins them with the index column.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import reference
-from .analysis import SCENARIOS, SUBSET_LABELS, SweepRecord, SweepStats, aggregate
+from .analysis import SCENARIOS, SUBSET_LABELS, SweepRecords, SweepStats, aggregate
 from .costs import CRITERIA
 
 SCHEMA_SWEEP = "bfforms.sweep-report/1"
@@ -152,19 +153,38 @@ def losses_table(stats: SweepStats) -> ReportTable:
     )
 
 
-def records_table(records: list[SweepRecord]) -> ReportTable:
+@dataclass(frozen=True)
+class RenderedTable:
+    """A table whose rows are rendered when it is built (integer cells only)."""
+
+    title: str
+    headers: tuple[str, ...]
+    body: str
+
+    def render_csv(self, places: int = 3) -> str:
+        return ",".join(self.headers) + "\n" + self.body
+
+
+def records_table(records) -> RenderedTable:
+    """One row per function: its index, then 15 cost cells per form.
+
+    Functions of one class share their costs, so the cells of each class
+    are rendered once and joined with the index of every function in it.
+    """
+    recs = SweepRecords.of(records)
     headers = ["index"]
     for form in ("cfr", "rm", "afr"):
         headers.extend(f"{form}_{c}" for c in CRITERIA)
-    rows = []
-    for rec in records:
-        row = [rec.index]
-        for cv in (rec.cost_cfr, rec.cost_rm, rec.cost_afr):
-            row.extend(getattr(cv, c) for c in CRITERIA)
-        rows.append(tuple(row))
-    return ReportTable(
-        title="per-function records", headers=tuple(headers), rows=tuple(rows)
-    )
+    cells = [
+        ",".join(
+            str(getattr(cv, c))
+            for cv in (rec.cost_cfr, rec.cost_rm, rec.cost_afr)
+            for c in CRITERIA
+        )
+        for rec in recs.class_records
+    ]
+    body = "".join(f"{i},{cells[c]}\n" for i, c in zip(recs.indices, recs.class_of))
+    return RenderedTable(title="per-function records", headers=tuple(headers), body=body)
 
 
 def summary_json(
@@ -255,15 +275,20 @@ def summary_json(
 
 
 def write_sweep_reports(
-    records: list[SweepRecord],
+    records,
     n: int,
     out_dir: str | Path,
     sampled: dict | None = None,
 ) -> list[Path]:
-    """Write records/rei/weights/losses CSVs and summary.json; return paths."""
+    """Write records/rei/weights/losses CSVs and summary.json; return paths.
+
+    ``records`` is a :class:`~bfforms.analysis.SweepRecords` or any
+    sequence of :class:`~bfforms.analysis.SweepRecord`.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
+    records = SweepRecords.of(records)
     stats = aggregate(records)
     tables = {
         "records.csv": records_table(records),

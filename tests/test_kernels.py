@@ -227,3 +227,22 @@ def test_facade_rejects_bad_input(impl, n, index):
         timeout=30,
     )
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
+def test_facade_polarity_minima(impl, monkeypatch):
+    import types
+
+    from bfforms import kernels
+
+    # Either backend, and a twin that exports only the two halves, as the
+    # compiled one does.
+    halves = types.SimpleNamespace(rm_minima=impl.rm_minima, arith_minima=impl.arith_minima)
+    for backend in (impl, halves):
+        monkeypatch.setattr(kernels, "_impl", backend)
+        for n, index in ((1, 2), (3, 0b11101000), (6, 0x6996966996696996)):
+            expected = impl.rm_minima(n, index) + impl.arith_minima(n, index)
+            assert kernels.polarity_minima(n, index) == expected
+        for n, index in BAD_INPUTS:
+            with pytest.raises(ValueError):
+                kernels.polarity_minima(n, index)
