@@ -3,9 +3,11 @@
 
 Times `analyze_counts` throughput (the per-function work of a sweep) over
 an exhaustive n=4 slice and a seeded n=5 sample, then prints functions per
-second and the speedup.  For the pure backend it also times its two layers
-on the same indices: the SOP cover search (`min_sop_counts`) and the
-polarity scan of both polynomial forms (`polarity_minima`).  Last, it
+second and the speedup.  For the pure backend it also times its layers on
+the same indices: the SOP cover search (`min_sop_counts`), its prime filter
+(`_prime_ids`), and the polarity scan of both polynomial forms, once as the
+lane-parallel batch that sweeps use (`polarity_minima_batch`) and once one
+function per call (`polarity_minima`, as `analyze` uses it).  Last, it
 times the NP-class enumeration that exhaustive sweeps run before the
 kernel, for n=3 and n=4, and prints the class counts.  Usage:
 
@@ -59,9 +61,13 @@ def main():
             rates[impl.BACKEND] = rate
             print(f"  {impl.BACKEND:9s} {elapsed:8.3f}s  {rate:10.0f} fn/s")
             if impl is _kernels_py:
-                for fn in (impl.min_sop_counts, impl.polarity_minima):
+                for fn in (impl.min_sop_counts, impl._prime_ids, impl.polarity_minima):
                     elapsed = bench_layer(fn, n, indices)
-                    print(f"    {fn.__name__:16s} {elapsed:8.3f}s")
+                    print(f"    {fn.__name__:21s} {elapsed:8.3f}s")
+                start = time.perf_counter()
+                impl.polarity_minima_batch(n, indices)
+                elapsed = time.perf_counter() - start
+                print(f"    {'polarity_minima_batch':21s} {elapsed:8.3f}s")
         if len(rates) == 2:
             print(f"  speedup   {rates['compiled'] / rates['pure']:8.1f}x")
         else:

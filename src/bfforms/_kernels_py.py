@@ -6,10 +6,11 @@ statistic (minimal SOP terms/conjunctions/literals, then per-criterion
 minima over all polarities for the Reed-Muller and arithmetic forms).
 Truth tables are plain integers, bit ``x`` = value on row ``x``.
 
-The SOP side enumerates the full ternary cube lattice (3**n cubes, each
-with a precomputed row-coverage mask), keeps the prime implicants, selects
-the essential ones, and finishes the cyclic core with branch-and-bound on
-(term count, literal count).
+The SOP side marks the implicants of the function among the 3**n ternary
+cubes, keeps the prime ones, selects the essential ones, and finishes the
+cyclic core with branch-and-bound on (term count, literal count).  The
+implicants live in one integer with two bits per variable, so each
+filtering step is a shift and a mask over all cubes at once.
 
 The polarity side computes the extended vector of Davio, Deschamps and
 Thayse (*Discrete and Switching Functions*, 1978): 3**n integers whose
@@ -21,6 +22,16 @@ is the Reed-Muller coefficient.  So one O(n * 3**n) pass yields every
 polarity's coefficients in both forms.  n more passes fold each digit into
 a polarity bit, summing the nonzero-coefficient counts and their literal
 counts per polarity for both forms at once.
+
+That pass uses only add, subtract, mask and shift, so it runs on many
+functions at once, one per 32-bit lane of a Python integer (lane i is bits
+32i..32i+31).  While the transform runs, a lane's low byte holds the entry
+plus a bias of 64.  Entries lie in -32..32 at n <= 6, so every lane stays
+within 32..96: no carry or borrow crosses into the next lane.  Each lane
+then becomes four 8-bit fields, low to high: Reed-Muller nonzero count,
+Reed-Muller literals, arithmetic nonzero count, arithmetic literals.
+Counts reach 2**n = 64 and literal sums n * 2**(n-1) = 192 at n = 6, and
+the fold only adds, so no field overflows either.
 """
 
 from __future__ import annotations
@@ -32,14 +43,16 @@ from .errors import GuardTimeoutError
 
 BACKEND = "pure"
 
-_LATTICE_CACHE: dict[int, tuple] = {}
+# Functions per lane-parallel polarity pass.  Past 64 lanes the pass gets
+# no faster per function, while its integers keep growing.
+_LANES = 64
 
-# An extended-vector entry packed as four 8-bit fields, low to high: RM
-# nonzero count, RM literals, arithmetic nonzero count, arithmetic literals.
-# Counts reach 2**n = 64 and literal sums n * 2**(n-1) = 192 at n = 6.
-# Entries lie in -32..32 at n <= 6; negative ones index from the end.
-_PACK = [(e & 1) | (e != 0) << 16 for e in [*range(33), *range(-32, 0)]]
+_LATTICE_CACHE: dict[int, tuple] = {}
+_IMPLICANT_CACHE: dict[int, tuple] = {}
+
+# Per lane: the count fields of both forms, and the bias as low byte.
 _COUNTS = 0xFF | 0xFF << 16
+_BIAS = 64
 
 
 def _lattice(n: int):
@@ -47,7 +60,7 @@ def _lattice(n: int):
 
     Cube id digits (base 3, digit p for row-bit position p):
     0 = variable absent, 1 = negative literal, 2 = positive literal.
-    Returns (covers, literal_counts, parents, full_row_mask).
+    Returns (covers, literal_counts, full_row_mask).
     """
     cached = _LATTICE_CACHE.get(n)
     if cached is not None:
@@ -61,15 +74,12 @@ def _lattice(n: int):
             if not (x >> p) & 1:
                 m |= 1 << x
         pat0.append(m)
-    pow3 = [3**i for i in range(n + 1)]
-    size = pow3[n]
+    size = 3**n
     covers = [0] * size
     lits = [0] * size
-    parents: list[tuple[int, ...]] = [()] * size
     for c in range(size):
         mask = full
         lc = 0
-        par = []
         d = c
         for p in range(n):
             digit = d % 3
@@ -77,16 +87,56 @@ def _lattice(n: int):
             if digit == 1:
                 mask &= pat0[p]
                 lc += 1
-                par.append(c - pow3[p])
             elif digit == 2:
                 mask &= full ^ pat0[p]
                 lc += 1
-                par.append(c - 2 * pow3[p])
         covers[c] = mask
         lits[c] = lc
-        parents[c] = tuple(par)
-    result = (covers, lits, parents, full)
+    result = (covers, lits, full)
     _LATTICE_CACHE[n] = result
+    return result
+
+
+def _spread(n: int, x: int) -> int:
+    """Bit p of ``x`` moved to bit 2p."""
+    return sum(((x >> p) & 1) << 2 * p for p in range(n))
+
+
+def _implicant_tables(n: int):
+    """Static tables for the packed implicant vector of n variables.
+
+    A cube sits at bit position sum(digit_p * 4**p) of one integer, with
+    the lattice digits (0 absent, 1 negative, 2 positive; 3 is unused), so
+    positions ascend in lattice-id order.  Returns (byte_bits, offsets,
+    zeros, ids): the minterm bits of each byte value of rows 8q..8q+7,
+    placed by shifting by offsets[q]; per variable p, the positions whose
+    digit p is 0; and the lattice id at each position.
+    """
+    cached = _IMPLICANT_CACHE.get(n)
+    if cached is not None:
+        return cached
+    size = 4**n
+    byte_bits = [
+        sum(1 << _spread(n, j) for j in range(8) if b >> j & 1) for b in range(256)
+    ]
+    # Minterm x is the cube with digit 1 + x_p at every p.
+    lift = (size - 1) // 3
+    offsets = [_spread(n, 8 * q) + lift for q in range(max(1, (1 << n) // 8))]
+    zeros = []
+    for p in range(n):
+        z = 0
+        for q in range(size):
+            if not (q >> 2 * p) & 3:
+                z |= 1 << q
+        zeros.append(z)
+    ids = [0] * size
+    for q in range(size):
+        c = 0
+        for p in reversed(range(n)):
+            c = 3 * c + ((q >> 2 * p) & 3)
+        ids[q] = c
+    result = (byte_bits, offsets, zeros, ids)
+    _IMPLICANT_CACHE[n] = result
     return result
 
 
@@ -96,17 +146,28 @@ def _prime_ids(n: int, on: int) -> list[int]:
     A cube is prime when it is an implicant (covers no off-set row) and
     none of its parents (the cubes with one literal fewer) is one.
     """
-    covers, _, parents, full = _lattice(n)
-    off = full ^ on
+    byte_bits, offsets, zeros, ids = _implicant_tables(n)
+    imp = 0
+    for b, off in zip(on.to_bytes(len(offsets), "little"), offsets):
+        if b:
+            imp |= byte_bits[b] << off
+    # Digit p of a cube is 0 where both its digit-1 and digit-2 children
+    # are implicants; after pass p that holds for digits 0..p.
+    for p, z in enumerate(zeros):
+        step = 1 << 2 * p
+        imp |= imp >> step & imp >> 2 * step & z
+    # Mark each implicant's children: they have an implicant parent.
+    has_parent = 0
+    for p, z in enumerate(zeros):
+        step = 1 << 2 * p
+        top = imp & z
+        has_parent |= top << step | top << 2 * step
+    bits = bin(imp & ~has_parent)[:1:-1]
     primes = []
-    for c, cov in enumerate(covers):
-        if cov & off:
-            continue
-        for q in parents[c]:
-            if not covers[q] & off:
-                break
-        else:
-            primes.append(c)
+    i = bits.find("1")
+    while i >= 0:
+        primes.append(ids[i])
+        i = bits.find("1", i + 1)
     return primes
 
 
@@ -218,7 +279,7 @@ def _min_cover(
 
 def min_sop_counts(n: int, on: int, guard_s: float = 60.0) -> tuple[int, int]:
     """(terms, literals) of the exact minimum SOP cover of the ``on`` mask."""
-    covers, lits, _, full = _lattice(n)
+    covers, lits, full = _lattice(n)
     if on == 0:
         return (0, 0)
     if on == full:
@@ -232,38 +293,69 @@ def min_sop_counts(n: int, on: int, guard_s: float = 60.0) -> tuple[int, int]:
     )
 
 
+def polarity_minima_batch(n: int, masks: Sequence[int]) -> list[tuple[int, ...]]:
+    """:func:`polarity_minima` of every mask.
+
+    Each group of ``_LANES`` masks shares one pass, one lane per mask; the
+    module docstring gives the lane layout.
+    """
+    rows = 1 << n
+    out: list[tuple[int, ...]] = []
+    for start in range(0, len(masks), _LANES):
+        group = masks[start : start + _LANES]
+        ones = int.from_bytes(b"\x01\0\0\0" * len(group), "little")
+        bias = ones * _BIAS
+        # Row plane x: f(x) of every function, as bit 0 of its lane.
+        planes = []
+        for s in range(0, rows, 32):
+            word = b"".join((m >> s & 0xFFFFFFFF).to_bytes(4, "little") for m in group)
+            word = int.from_bytes(word, "little")
+            planes += [word >> x & ones for x in range(min(32, rows))]
+        # Each pass turns the lowest remaining row bit into the next digit.
+        v = [t + bias for t in planes]
+        for _ in range(n):
+            lo = v[0::2]
+            hi = v[1::2]
+            v = lo + hi + [h + bias - l for l, h in zip(lo, hi)]
+        # The RM-count bit is the entry's parity (the bias is even).  The
+        # arithmetic-count bit is set when the entry is nonzero: t ^ bias
+        # lies in 1..127 then, and adding 0x7F carries into bit 7.
+        high = ones * 0x7F
+        v = [t & ones | (((t ^ bias) + high) >> 7 & ones) << 16 for t in v]
+        # Fold digit p: digits 0 and 1 become polarity bit p, and digit 2
+        # (x_p in the monomial) joins both, each of its monomials one
+        # literal longer.
+        counts = ones * _COUNTS
+        for _ in range(n):
+            d2 = [t + ((t & counts) << 8) for t in v[2::3]]
+            v = [t + u for t, u in zip(v[0::3], d2)] + [
+                t + u for t, u in zip(v[1::3], d2)
+            ]
+        # Per-lane minima over all polarities, one byte column per field.
+        # Under polarity k the constant coefficient is f(k) in both forms,
+        # so the counts are at least f(k) and subtracting it borrows nothing.
+        width = 4 * len(group)
+        least = list(map(min, zip(*[t.to_bytes(width, "little") for t in v])))
+        lowered = [
+            (t - f * 0x10001).to_bytes(width, "little") for t, f in zip(v, planes)
+        ]
+        sh = list(map(min, zip(*lowered)))
+        out += [
+            (least[j], sh[j], least[j + 1], least[j + 2], sh[j + 2], least[j + 3])
+            for j in range(0, width, 4)
+        ]
+    return out
+
+
 def polarity_minima(n: int, mask: int) -> tuple[int, ...]:
     """Per-criterion minima over all polarities of both polynomial forms.
 
     Returns (rm_ad, rm_sh, rm_l, af_ad, af_sh, af_l): the minimum summands,
     conjunction-summands and literals of the Reed-Muller and then the
     arithmetic form.  The three minima of a form may come from different
-    polarities.  Holds for n <= 6, the range ``_PACK`` and its fields cover.
+    polarities.  Holds for n <= 6, the range the lane fields cover.
     """
-    # Each pass turns the lowest remaining row bit into the next digit.
-    v = [(mask >> x) & 1 for x in range(1 << n)]
-    for _ in range(n):
-        lo = v[0::2]
-        hi = v[1::2]
-        v = lo + hi + [h - l for l, h in zip(lo, hi)]
-    v = [_PACK[e] for e in v]
-    # Fold digit p: digits 0 and 1 become polarity bit p, and digit 2 (x_p
-    # in the monomial) joins both, each of its monomials one literal longer.
-    for _ in range(n):
-        d2 = [t + ((t & _COUNTS) << 8) for t in v[2::3]]
-        v = [t + u for t, u in zip(v[0::3], d2)] + [
-            t + u for t, u in zip(v[1::3], d2)
-        ]
-    # Under polarity k the constant coefficient is f(k) in both forms.
-    minima: list[int] = []
-    for shift in (0, 16):
-        ad = [(t >> shift) & 0xFF for t in v]
-        minima += [
-            min(ad),
-            min(a - ((mask >> k) & 1) for k, a in enumerate(ad)),
-            min((t >> shift + 8) & 0xFF for t in v),
-        ]
-    return tuple(minima)
+    return polarity_minima_batch(n, [mask])[0]
 
 
 def rm_minima(n: int, mask: int) -> tuple[int, int, int]:
@@ -283,21 +375,28 @@ def analyze_counts(n: int, index: int, guard_s: float = 60.0) -> tuple[int, ...]
              rm_min_ad, rm_min_sh, rm_min_l,
              af_min_ad, af_min_sh, af_min_l).
     """
-    terms, literals = min_sop_counts(n, index, guard_s)
-    full = (1 << (1 << n)) - 1
-    conj = terms - 1 if index == full else terms
-    return (terms, conj, literals) + polarity_minima(n, index)
+    return analyze_batch(n, [index], guard_s)[0]
 
 
 def sweep_counts(
     n: int, start: int, stop: int, guard_s: float = 60.0
 ) -> list[tuple[int, ...]]:
     """analyze_counts over a contiguous index range."""
-    return [analyze_counts(n, i, guard_s) for i in range(start, stop)]
+    return analyze_batch(n, range(start, stop), guard_s)
 
 
 def analyze_batch(
     n: int, indices: Sequence[int], guard_s: float = 60.0
 ) -> list[tuple[int, ...]]:
-    """analyze_counts over an explicit index sequence (sampled sweeps)."""
-    return [analyze_counts(n, i, guard_s) for i in indices]
+    """analyze_counts over an index sequence, in order.
+
+    The polarity minima come from lane-parallel passes over the whole
+    sequence; the SOP cover search runs per index.
+    """
+    full = (1 << (1 << n)) - 1
+    out = []
+    for index, minima in zip(indices, polarity_minima_batch(n, indices)):
+        terms, literals = min_sop_counts(n, index, guard_s)
+        conj = terms - 1 if index == full else terms
+        out.append((terms, conj, literals) + minima)
+    return out

@@ -12,6 +12,7 @@ and the golden covers in ``tests/data/golden_covers.txt``.
 
 import hashlib
 import os
+import random
 import statistics
 import subprocess
 import sys
@@ -46,11 +47,10 @@ GOLDEN_MINIMA_SETS = {
 }
 
 
-def minima_digest(n: int, indices) -> str:
+def minima_digest(indices, rows) -> str:
     """sha256 of one "index rm_ad rm_sh rm_l af_ad af_sh af_l" line per index."""
     h = hashlib.sha256()
-    for index in indices:
-        row = pure.rm_minima(n, index) + pure.arith_minima(n, index)
+    for index, row in zip(indices, rows, strict=True):
         h.update(f"{index:x} {' '.join(map(str, row))}\n".encode())
     return h.hexdigest()
 
@@ -111,8 +111,14 @@ def test_polarity_minima_match_golden_digests():
             digest, name = line.split()
             expected[name] = digest
     assert expected.keys() == GOLDEN_MINIMA_SETS.keys()
-    for name, (n, indices) in GOLDEN_MINIMA_SETS.items():
-        assert minima_digest(n, indices()) == expected[name], name
+    for name, (n, make_indices) in GOLDEN_MINIMA_SETS.items():
+        indices = make_indices()
+        rows = pure.polarity_minima_batch(n, indices)
+        assert minima_digest(indices, rows) == expected[name], name
+        # Spot check: the batch rows equal the per-function halves.
+        for pos in random.Random(name).sample(range(len(indices)), 24):
+            index = indices[pos]
+            assert rows[pos] == pure.rm_minima(n, index) + pure.arith_minima(n, index)
 
 
 # Constants, single minterms at both ends, parity and a half-constant
@@ -133,6 +139,52 @@ N6_EXTREMES = [
 def test_polarity_minima_match_library_n6(impl, index):
     expected = library_polarity_minima(TruthTable.from_index(6, index))
     assert impl.rm_minima(6, index) + impl.arith_minima(6, index) == expected
+
+
+def lane_batches():
+    """(n, masks) batches whose lanes stress their neighbours."""
+    extremes = N6_EXTREMES[:6]
+    full6 = (1 << 64) - 1
+    paired = [m for e in extremes for m in (e, full6 ^ e)]
+    full5 = (1 << 32) - 1
+    draws = sample_uniform(5, 130, seed=707)
+    return [
+        pytest.param(6, extremes, id="n6-extremes"),
+        # Each function next to its complement, in both orders.
+        pytest.param(6, paired, id="n6-complements"),
+        pytest.param(6, paired[::-1], id="n6-complements-reversed"),
+        pytest.param(
+            5,
+            [m for e in (0, full5, 1, 1 << 31, 0x69969669) for m in (e, full5 ^ e)],
+            id="n5-complements",
+        ),
+        # A lone lane, one group short of, at and just past 64 lanes, and
+        # two full groups plus two.
+        *(
+            pytest.param(5, draws[:size], id=f"n5-size{size}")
+            for size in (1, 63, 64, 65, 130)
+        ),
+    ]
+
+
+@pytest.mark.parametrize("n, masks", lane_batches())
+def test_lane_isolation(n, masks):
+    # No lane's transform or counts leak into the next: every lane of a
+    # batch equals its one-lane call and the per-polarity library minima.
+    rows = pure.polarity_minima_batch(n, masks)
+    assert len(rows) == len(masks)
+    for mask, row in zip(masks, rows):
+        assert row == pure.polarity_minima(n, mask)
+        assert row == library_polarity_minima(TruthTable.from_index(n, mask))
+
+
+def test_batch_paths_agree_with_one_lane():
+    draws = sample_uniform(4, 70, seed=808)
+    counts = pure.analyze_batch(4, draws, 60.0)
+    assert [c[3:] for c in counts] == [pure.polarity_minima(4, i) for i in draws]
+    assert pure.polarity_minima_batch(4, []) == []
+    assert pure.analyze_batch(4, [], 60.0) == []
+    assert pure.sweep_counts(4, 7, 7, 60.0) == []
 
 
 @needs_compiled

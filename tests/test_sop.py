@@ -111,6 +111,17 @@ def test_prime_implicants_match_oracle_all_l3(l3_tables):
         assert got == oracle_primes(3, tt.index)
 
 
+@pytest.mark.parametrize("n, count", [(4, 40), (5, 12), (6, 4)])
+def test_prime_implicants_match_oracle_seeded(n, count):
+    # Past n=3 the on-set spans several bytes of the packed prime filter.
+    full = (1 << (1 << n)) - 1
+    extremes = [full, 1, 1 << full.bit_length() - 1]
+    for index in extremes + sample_uniform(n, count, seed=n):
+        tt = TruthTable.from_index(n, index)
+        got = [c.to_string() for c in prime_implicants(tt)]
+        assert got == oracle_primes(n, index), hex(index)
+
+
 def test_prime_implicants_constant0_raises():
     with pytest.raises(ValueError):
         prime_implicants(TruthTable(2, (0, 0, 0, 0)))
