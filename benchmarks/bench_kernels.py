@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled sweep kernels against the pure-Python fallback.
+"""Benchmark the compiled C sweep kernel against the pure-Python fallback.
 
 Times `analyze_counts` throughput (the per-function work of a sweep) over
 an exhaustive n=4 slice and a seeded n=5 sample, then prints functions per
@@ -21,11 +21,10 @@ from bfforms import _kernels_py, npclasses
 from bfforms.truthtable import sample_uniform
 
 try:
-    from bfforms import _kernels
+    from bfforms import _kernels_c
 
-    BACKENDS = [_kernels_py, _kernels]
+    BACKENDS = [_kernels_py, _kernels_c]
 except ImportError:
-    _kernels = None
     BACKENDS = [_kernels_py]
 
 
@@ -71,7 +70,7 @@ def main():
         if len(rates) == 2:
             print(f"  speedup   {rates['compiled'] / rates['pure']:8.1f}x")
         else:
-            print("  (compiled backend not built; install with Cython to compare)")
+            print("  (compiled backend not built: python setup.py build_ext --inplace)")
     for n in (3, 4):
         npclasses._CLASS_CACHE.pop(n, None)
         start = time.perf_counter()

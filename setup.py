@@ -1,24 +1,14 @@
-import os
-
 from setuptools import Extension, setup
 
-ext_modules = []
-if os.environ.get("BFFORMS_SKIP_EXT") != "1":
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            [
-                Extension(
-                    "bfforms._kernels",
-                    ["src/bfforms/_kernels.pyx"],
-                    extra_compile_args=["-O2"],
-                )
-            ],
-            compiler_directives={"language_level": "3"},
+# A plain C library, loaded by bfforms._kernels_c through ctypes.  Without a
+# C compiler the install still succeeds and runs the pure-Python kernels.
+setup(
+    ext_modules=[
+        Extension(
+            "bfforms._ckernel",
+            ["src/bfforms/_ckernel.c"],
+            extra_compile_args=["-O2"],
+            optional=True,
         )
-    except ImportError:
-        # No Cython: install runs pure-Python kernels only.
-        ext_modules = []
-
-setup(ext_modules=ext_modules)
+    ]
+)

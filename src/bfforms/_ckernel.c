@@ -1,0 +1,315 @@
+/* Compiled sweep kernel; semantics twin of bfforms/_kernels_py.py, loaded
+ * by bfforms/_kernels_c.py through ctypes.
+ *
+ * Truth tables are uint64 masks of n <= 6 variables, bit x = value on row
+ * x.  For each function the kernel gives the nine cost counts of
+ * _kernels_py.analyze_counts:
+ *
+ *   - the minimal SOP (terms, conjunctions, literals): the implicants among
+ *     the 3**n ternary cubes, the prime ones among those, the essential
+ *     primes, then branch-and-bound on (terms, literals) over the cyclic
+ *     core;
+ *   - per criterion, the minima over all polarities of the Reed-Muller and
+ *     arithmetic forms, from one pass of the extended transform of Davio,
+ *     Deschamps and Thayse (Discrete and Switching Functions, 1978) and an
+ *     n-pass fold of its entries into per-polarity counts.
+ *
+ * Cube and extended-vector indices share one base-3 layout: digit p of the
+ * index is 0, 1 or 2 for variable p.  For a cube that is absent, negative
+ * literal, positive literal; for an extended-vector entry it is the x_p=0
+ * cofactor, the x_p=1 cofactor, or their difference.  Every per-variable
+ * step below is the same loop over index triples (i, i + 3**p, i + 2*3**p)
+ * that differ in digit p only.
+ *
+ * Each entry point returns a status: 0 done, 1 an SOP cover search overran
+ * its wall-clock guard, -1 n outside 1..6 or an index with a bit past row
+ * 2**n - 1.  The tables are sized for n <= 6 and live on the stack, so
+ * concurrent calls share nothing.
+ */
+#define _POSIX_C_SOURCE 199309L /* clock_gettime */
+#include <stddef.h>
+#include <stdint.h>
+#include <time.h>
+
+#define MAXN 6
+#define MAXCUBES 729 /* 3**MAXN */
+#define MAXROWS 64
+
+enum { DONE = 0, GUARD = 1, BAD_INPUT = -1 };
+
+/* Rows with x_p = 0, per variable p. */
+static const uint64_t PAT0[MAXN] = {
+    0x5555555555555555u, 0x3333333333333333u, 0x0F0F0F0F0F0F0F0Fu,
+    0x00FF00FF00FF00FFu, 0x0000FFFF0000FFFFu, 0x00000000FFFFFFFFu,
+};
+
+struct lattice {
+    int n, size;                /* size = 3**n */
+    uint64_t full;              /* all 2**n rows */
+    uint64_t cov[MAXCUBES];     /* rows covered by each cube */
+    uint8_t lits[MAXCUBES];     /* literals of each cube */
+    int row_at[MAXROWS];        /* index whose digits are the bits of row x */
+};
+
+static int lattice_init(struct lattice *lat, int n)
+{
+    if (n < 1 || n > MAXN)
+        return BAD_INPUT;
+    lat->n = n;
+    lat->full = n == MAXN ? UINT64_MAX : ((uint64_t)1 << (1 << n)) - 1;
+    lat->cov[0] = lat->full;
+    lat->lits[0] = 0;
+    lat->row_at[0] = 0;
+    /* Each variable triples the cubes built so far: absent, negative,
+     * positive. */
+    for (int p = 0, s = 1; p < n; p++, s *= 3) {
+        for (int j = 0; j < s; j++) {
+            lat->cov[s + j] = lat->cov[j] & PAT0[p];
+            lat->cov[2 * s + j] = lat->cov[j] & ~PAT0[p];
+            lat->lits[s + j] = lat->lits[2 * s + j] = lat->lits[j] + 1;
+        }
+        for (int x = 0; x < 1 << p; x++)
+            lat->row_at[(1 << p) + x] = lat->row_at[x] + s;
+        lat->size = 3 * s;
+    }
+    return DONE;
+}
+
+static double now(void)
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (double)ts.tv_sec + 1e-9 * (double)ts.tv_nsec;
+}
+
+struct search {
+    const uint64_t *cov;        /* candidate primes */
+    const uint8_t *lits;
+    int ncand;
+    uint64_t order[MAXROWS];    /* core rows by (covering candidates, row) */
+    int best_terms, best_lits;
+    unsigned nodes;
+    double deadline;
+};
+
+static int cover_search(struct search *st, uint64_t uncov, int terms, int lits)
+{
+    /* Every 1,024 nodes: well under a millisecond of work between checks. */
+    if (++st->nodes % 1024 == 0 && now() > st->deadline)
+        return GUARD;
+    if (!uncov) {
+        if (terms < st->best_terms || (terms == st->best_terms && lits < st->best_lits)) {
+            st->best_terms = terms;
+            st->best_lits = lits;
+        }
+        return DONE;
+    }
+    /* Any completion costs at least one more term and one more literal. */
+    if (terms + 1 > st->best_terms || (terms + 1 == st->best_terms && lits + 1 >= st->best_lits))
+        return DONE;
+    /* Branch on the uncovered row with the fewest covering candidates. */
+    const uint64_t *pick = st->order;
+    while (!(uncov & *pick))
+        pick++;
+    for (int i = 0; i < st->ncand; i++)
+        if (st->cov[i] & *pick) {
+            int status = cover_search(st, uncov & ~st->cov[i], terms + 1, lits + st->lits[i]);
+            if (status != DONE)
+                return status;
+        }
+    return DONE;
+}
+
+/* (terms, literals) of the exact minimum SOP cover of the on rows. */
+static int min_sop(const struct lattice *lat, uint64_t on, double guard_s, int *terms, int *lits)
+{
+    if (on == 0 || on == lat->full) {
+        *terms = on != 0;
+        *lits = 0;
+        return DONE;
+    }
+    if (guard_s <= 0)
+        return GUARD;
+    double deadline = now() + guard_s;
+
+    /* Bit 0: implicant (covers no off row).  Bit 1: some parent, the cube
+     * with one literal fewer, is an implicant too, so the cube is not
+     * prime. */
+    uint8_t flag[MAXCUBES];
+    int size = lat->size;
+    for (int c = 0; c < size; c++)
+        flag[c] = !(lat->cov[c] & ~on);
+    for (int s = 1; s < size; s *= 3)
+        for (int base = 0; base < size; base += 3 * s)
+            for (int j = base; j < base + s; j++)
+                if (flag[j] & 1) {
+                    flag[j + s] |= 2;
+                    flag[j + 2 * s] |= 2;
+                }
+    uint64_t pcov[MAXCUBES];
+    uint8_t plits[MAXCUBES];
+    int np = 0;
+    for (int c = 0; c < size; c++)
+        if (flag[c] == 1) {
+            pcov[np] = lat->cov[c];
+            plits[np++] = lat->lits[c];
+        }
+
+    /* Essential primes: sole cover of some row.  They sit in every prime
+     * cover, so taking them preserves both optima. */
+    uint64_t taken = 0, uncov = on;
+    int t = 0, l = 0;
+    for (uint64_t m = on; m; m &= m - 1) {
+        uint64_t row = m & -m;
+        int count = 0, hit = 0;
+        for (int i = 0; i < np && count < 2; i++)
+            if (pcov[i] & row) {
+                count++;
+                hit = i;
+            }
+        if (count == 1 && !(taken & row)) {
+            taken |= pcov[hit];
+            uncov &= ~pcov[hit];
+            t++;
+            l += plits[hit];
+        }
+    }
+    if (!uncov) {
+        *terms = t;
+        *lits = l;
+        return DONE;
+    }
+
+    /* Candidates: the primes that meet the core, in lattice order.  No
+     * essential prime meets it. */
+    int nc = 0;
+    for (int i = 0; i < np; i++)
+        if (pcov[i] & uncov) {
+            pcov[nc] = pcov[i];
+            plits[nc++] = plits[i];
+        }
+    struct search st = {pcov, plits, nc, {0}, t, l, 0, deadline};
+
+    /* Greedy cover seeds the branch-and-bound upper bound. */
+    for (uint64_t g = uncov; g;) {
+        int best = 0, gain = 0;
+        for (int i = 0; i < nc; i++)
+            if (__builtin_popcountll(pcov[i] & g) > gain) {
+                gain = __builtin_popcountll(pcov[i] & g);
+                best = i;
+            }
+        g &= ~pcov[best];
+        st.best_terms++;
+        st.best_lits += plits[best];
+    }
+
+    /* Candidates are fixed for the call, so each core row's count of them
+     * is too: sort the rows once by (count, row). */
+    int count[MAXROWS], nrows = 0;
+    for (uint64_t m = uncov; m; m &= m - 1) {
+        uint64_t row = m & -m;
+        int c = 0;
+        for (int i = 0; i < nc; i++)
+            c += (pcov[i] & row) != 0;
+        int k = nrows++;
+        for (; k > 0 && count[k - 1] > c; k--) {
+            st.order[k] = st.order[k - 1];
+            count[k] = count[k - 1];
+        }
+        st.order[k] = row;
+        count[k] = c;
+    }
+
+    int status = cover_search(&st, uncov, t, l);
+    *terms = st.best_terms;
+    *lits = st.best_lits;
+    return status;
+}
+
+/* rm_ad, rm_sh, rm_l, af_ad, af_sh, af_l: per-criterion minima over all
+ * polarities of the Reed-Muller and then the arithmetic form. */
+static void polarity_minima(const struct lattice *lat, uint64_t f, int32_t *out)
+{
+    int size = lat->size, rows = 1 << lat->n;
+    int32_t e[MAXCUBES];
+    for (int i = 0; i < size; i++)
+        e[i] = 0;
+    for (int x = 0; x < rows; x++)
+        e[lat->row_at[x]] = f >> x & 1;
+    /* Entries whose digits above p are all 0 or 1 are final after pass p;
+     * the others are overwritten by a later pass. */
+    for (int s = 1; s < size; s *= 3)
+        for (int base = 0; base < size; base += 3 * s)
+            for (int j = base; j < base + s; j++)
+                e[j + 2 * s] = e[j + s] - e[j];
+
+    /* Four byte fields per entry, low to high: Reed-Muller nonzero count
+     * (the parity), its literals, arithmetic nonzero count, its literals.
+     * Counts reach 2**n = 64 and literal sums n * 2**(n-1) = 192 at n = 6,
+     * so no field overflows. */
+    uint32_t v[MAXCUBES];
+    for (int i = 0; i < size; i++)
+        v[i] = ((uint32_t)e[i] & 1) | (uint32_t)(e[i] != 0) << 16;
+    /* Fold digit p: digits 0 and 1 become polarity bit p, and digit 2 (x_p
+     * in the monomial) joins both, each of its monomials one literal
+     * longer.  Entries with a digit 2 below p are no longer read. */
+    for (int s = 1; s < size; s *= 3)
+        for (int base = 0; base < size; base += 3 * s)
+            for (int j = base; j < base + s; j++) {
+                uint32_t d2 = v[j + 2 * s];
+                d2 += (d2 & 0x00FF00FFu) << 8;
+                v[j] += d2;
+                v[j + s] += d2;
+            }
+
+    /* Under polarity k the constant coefficient is f(k) in both forms. */
+    int best[6] = {255, 255, 255, 255, 255, 255};
+    for (int k = 0; k < rows; k++) {
+        uint32_t t = v[lat->row_at[k]];
+        int c = f >> k & 1;
+        int got[6] = {t & 0xFF, (t & 0xFF) - c, t >> 8 & 0xFF,
+                      t >> 16 & 0xFF, (t >> 16 & 0xFF) - c, t >> 24};
+        for (int i = 0; i < 6; i++)
+            if (got[i] < best[i])
+                best[i] = got[i];
+    }
+    for (int i = 0; i < 6; i++)
+        out[i] = best[i];
+}
+
+/* The nine counts of each index, in _kernels_py.analyze_counts order, to
+ * out[9 * i]..out[9 * i + 8].  Each SOP cover search has guard_s seconds. */
+int bf_analyze(int n, const uint64_t *index, size_t count, int32_t *out, double guard_s)
+{
+    struct lattice lat;
+    if (lattice_init(&lat, n) != DONE)
+        return BAD_INPUT;
+    for (size_t i = 0; i < count; i++, out += 9) {
+        uint64_t f = index[i];
+        int terms, lits;
+        if (f & ~lat.full)
+            return BAD_INPUT;
+        int status = min_sop(&lat, f, guard_s, &terms, &lits);
+        if (status != DONE)
+            return status;
+        out[0] = terms;
+        out[1] = f == lat.full ? terms - 1 : terms;
+        out[2] = lits;
+        polarity_minima(&lat, f, out + 3);
+    }
+    return DONE;
+}
+
+/* The six polarity minima of each index to out[6 * i]..out[6 * i + 5]. */
+int bf_polarity_minima(int n, const uint64_t *index, size_t count, int32_t *out)
+{
+    struct lattice lat;
+    if (lattice_init(&lat, n) != DONE)
+        return BAD_INPUT;
+    for (size_t i = 0; i < count; i++, out += 6) {
+        if (index[i] & ~lat.full)
+            return BAD_INPUT;
+        polarity_minima(&lat, index[i], out);
+    }
+    return DONE;
+}

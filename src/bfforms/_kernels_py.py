@@ -1,9 +1,10 @@
 """Pure-Python sweep kernels.
 
-Semantics twin of the compiled ``bfforms._kernels`` extension: for one
-function index it produces the nine cost counts that drive every sweep
-statistic (minimal SOP terms/conjunctions/literals, then per-criterion
-minima over all polarities for the Reed-Muller and arithmetic forms).
+Semantics twin of the compiled ``bfforms._kernels_c``, the C file
+``_ckernel.c`` loaded through ctypes: for one function index it produces
+the nine cost counts that drive every sweep statistic (minimal SOP
+terms/conjunctions/literals, then per-criterion minima over all polarities
+for the Reed-Muller and arithmetic forms).
 Truth tables are plain integers, bit ``x`` = value on row ``x``.
 
 The SOP side marks the implicants of the function among the 3**n ternary
@@ -236,6 +237,18 @@ def _min_cover(
         g_lits += plit[best_i]
     best = [g_terms, g_lits]
 
+    # Candidates are fixed for the call, so each uncovered row's count of
+    # them is too: order the rows once by (count, row), each with the
+    # candidates that cover it.
+    order = []
+    m = uncovered
+    while m:
+        low = m & -m
+        m ^= low
+        covering = [(pcov[i], plit[i]) for i in cand if pcov[i] & low]
+        order.append((len(covering), low, covering))
+    order.sort(key=lambda entry: entry[:2])
+
     nodes = [0]
 
     def rec(uncov: int, terms: int, lits: int) -> None:
@@ -251,27 +264,12 @@ def _min_cover(
         # Any completion costs at least one more term and one more literal.
         if (terms + 1, lits + 1) >= (best[0], best[1]):
             return
-        # Branch on the uncovered row with the fewest covering primes.
-        pick = -1
-        pick_count = nprimes + 1
-        m = uncov
-        while m:
-            low = m & -m
-            m ^= low
-            count = 0
-            for i in cand:
-                if pcov[i] & low:
-                    count += 1
-                    if count >= pick_count:
-                        break
-            if count < pick_count:
-                pick_count = count
-                pick = low
-                if count == 1:
-                    break
-        for i in cand:
-            if pcov[i] & pick:
-                rec(uncov & ~pcov[i], terms + 1, lits + plit[i])
+        # Branch on the uncovered row with the fewest covering candidates.
+        for _, row, covering in order:
+            if uncov & row:
+                break
+        for cov, lit in covering:
+            rec(uncov & ~cov, terms + 1, lits + lit)
 
     rec(uncovered, selected_terms, selected_lits)
     return best[0], best[1]

@@ -1,8 +1,9 @@
-"""Sweep-kernel selection: compiled extension if available, else pure Python.
+"""Sweep-kernel selection: compiled C kernel if built, else pure Python.
 
 Set ``BFFORMS_PURE=1`` to force the pure-Python kernels even when the
-compiled extension is installed.  Both backends implement identical
-semantics and produce identical counts; ``BACKEND`` names the active one.
+compiled kernel is built; ctypes is then never imported.  Both backends
+implement identical semantics and produce identical counts; ``BACKEND``
+names the active one.
 The functions here validate ``n`` and the function indices once for both
 backends, raising ValueError outside ``1 <= n <= 6`` and
 ``0 <= index < 2**2**n``.
@@ -17,7 +18,7 @@ if os.environ.get("BFFORMS_PURE") == "1":
     from . import _kernels_py as _impl
 else:
     try:
-        from . import _kernels as _impl  # type: ignore[attr-defined]
+        from . import _kernels_c as _impl
     except ImportError:
         from . import _kernels_py as _impl
 
@@ -62,17 +63,4 @@ def min_sop_counts(n: int, on: int, guard_s: float = 60.0) -> tuple[int, int]:
 def polarity_minima(n: int, mask: int) -> tuple[int, ...]:
     """(rm_ad, rm_sh, rm_l, af_ad, af_sh, af_l): both forms' minima at once."""
     _check(n, mask)
-    if hasattr(_impl, "polarity_minima"):
-        return _impl.polarity_minima(n, mask)
-    # The compiled twin exports only the two halves.
-    return _impl.rm_minima(n, mask) + _impl.arith_minima(n, mask)
-
-
-def rm_minima(n: int, mask: int) -> tuple[int, int, int]:
-    _check(n, mask)
-    return _impl.rm_minima(n, mask)
-
-
-def arith_minima(n: int, mask: int) -> tuple[int, int, int]:
-    _check(n, mask)
-    return _impl.arith_minima(n, mask)
+    return _impl.polarity_minima(n, mask)

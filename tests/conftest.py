@@ -9,10 +9,50 @@ and cube evaluation from direct character matching.
 from __future__ import annotations
 
 import itertools
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from bfforms.truthtable import TruthTable
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def pytest_configure(config):
+    """Build the C kernel in place, as ``setup.py`` does, when cc exists.
+
+    This runs before any test module imports ``bfforms``, so the kernel
+    facade picks up the fresh build.  setuptools treats the extension as
+    optional and only warns when it fails to compile; loading it is the
+    check, and a failure stops the session instead of skipping tests.
+    """
+    if shutil.which("cc") is None:
+        return
+    build = subprocess.run(
+        [sys.executable, "setup.py", "build_ext", "--inplace"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+    )
+    try:
+        import bfforms._kernels_c  # noqa: F401
+    except ImportError as exc:
+        raise pytest.UsageError(
+            f"cc is on PATH but the C kernel did not build or load: {exc}\n"
+            f"{build.stdout}{build.stderr}"
+        ) from exc
+
+
+def kernel_backends() -> list:
+    """The kernel twins to test: pure, and compiled when it is built."""
+    from bfforms import _kernels_py
+
+    try:
+        from bfforms import _kernels_c
+    except ImportError:
+        return [_kernels_py]
+    return [_kernels_py, _kernels_c]
 
 
 def cube_covers_row(cube: str, row: int, n: int) -> bool:
@@ -80,31 +120,45 @@ MAJ3_BITS = (0, 0, 0, 1, 0, 1, 1, 1)
 XOR3_BITS = (0, 1, 1, 0, 1, 0, 0, 1)
 
 
+# Fixtures import bfforms lazily: the kernel backend is picked at its
+# first import, which must come after pytest_configure.
 @pytest.fixture(scope="session")
-def maj3() -> TruthTable:
+def maj3():
+    from bfforms.truthtable import TruthTable
+
     return TruthTable(3, MAJ3_BITS)
 
 
 @pytest.fixture(scope="session")
-def xor3() -> TruthTable:
+def xor3():
+    from bfforms.truthtable import TruthTable
+
     return TruthTable(3, XOR3_BITS)
 
 
 @pytest.fixture(scope="session")
-def or2() -> TruthTable:
+def or2():
+    from bfforms.truthtable import TruthTable
+
     return TruthTable(2, (0, 1, 1, 1))
 
 
 @pytest.fixture(scope="session")
-def xor2() -> TruthTable:
+def xor2():
+    from bfforms.truthtable import TruthTable
+
     return TruthTable(2, (0, 1, 1, 0))
 
 
 @pytest.fixture(scope="session")
-def l2_tables() -> list[TruthTable]:
+def l2_tables():
+    from bfforms.truthtable import TruthTable
+
     return [TruthTable.from_index(2, i) for i in range(16)]
 
 
 @pytest.fixture(scope="session")
-def l3_tables() -> list[TruthTable]:
+def l3_tables():
+    from bfforms.truthtable import TruthTable
+
     return [TruthTable.from_index(3, i) for i in range(256)]

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import kernel_backends
 from bfforms import _kernels_py as pure
 from bfforms.arith import arithmetic_transform
 from bfforms.costs import cost_of_arith, cost_of_rm, cost_of_sop
@@ -29,12 +30,9 @@ from bfforms.reedmuller import PolarityVector, fprm_transform
 from bfforms.sop import minimize_sop
 from bfforms.truthtable import TruthTable, sample_uniform
 
-try:
-    from bfforms import _kernels as compiled
-except ImportError:
-    compiled = None
-
-BACKENDS = [pure] + ([compiled] if compiled else [])
+BACKENDS = kernel_backends()
+compiled = BACKENDS[1] if len(BACKENDS) > 1 else None
+# Only without a C compiler: tests/conftest.py builds the kernel otherwise.
 needs_compiled = pytest.mark.skipif(
     compiled is None, reason="compiled kernels not built"
 )
@@ -102,7 +100,8 @@ def test_kernel_matches_library_seeded_n5(impl):
         assert impl.analyze_counts(5, index, 60.0) == library_counts(tt)
 
 
-def test_polarity_minima_match_golden_digests():
+@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
+def test_polarity_minima_match_golden_digests(impl):
     # Digests recorded from the per-polarity butterfly scans, before the
     # polarity minima moved to one extended-transform pass.
     expected = {}
@@ -113,12 +112,11 @@ def test_polarity_minima_match_golden_digests():
     assert expected.keys() == GOLDEN_MINIMA_SETS.keys()
     for name, (n, make_indices) in GOLDEN_MINIMA_SETS.items():
         indices = make_indices()
-        rows = pure.polarity_minima_batch(n, indices)
+        rows = impl.polarity_minima_batch(n, indices)
         assert minima_digest(indices, rows) == expected[name], name
-        # Spot check: the batch rows equal the per-function halves.
+        # Spot check: the batch rows equal the one-function calls.
         for pos in random.Random(name).sample(range(len(indices)), 24):
-            index = indices[pos]
-            assert rows[pos] == pure.rm_minima(n, index) + pure.arith_minima(n, index)
+            assert rows[pos] == impl.polarity_minima(n, indices[pos])
 
 
 # Constants, single minterms at both ends, parity and a half-constant
@@ -138,7 +136,7 @@ N6_EXTREMES = [
 @pytest.mark.parametrize("index", N6_EXTREMES, ids=hex)
 def test_polarity_minima_match_library_n6(impl, index):
     expected = library_polarity_minima(TruthTable.from_index(6, index))
-    assert impl.rm_minima(6, index) + impl.arith_minima(6, index) == expected
+    assert impl.polarity_minima(6, index) == expected
 
 
 def lane_batches():
@@ -226,18 +224,26 @@ def test_guard_zero_aborts(impl):
     assert impl.min_sop_counts(3, 0, 0.0) == (0, 0)
 
 
+# A function whose cover search runs far past a 10 ms guard on each twin.
+# The C search finishes 0xCFEDA7CFE8394EFD in under a millisecond, so it
+# gets the symmetric function that is 1 where two or three inputs are.
+GUARD_OVERRUN_CASES = {"pure": 0xCFEDA7CFE8394EFD, "compiled": 0x117177E177E7EE8}
 
-def test_pure_guard_overrun_is_small():
-    # The pure cover search checks its deadline every 1,024 nodes; at
-    # 8,192 this function overran a 10 ms guard by about 100 ms.
-    pure._lattice(6)
+
+@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
+def test_guard_overrun_is_small(impl):
+    # The cover search checks its wall-clock deadline every 1,024 nodes;
+    # at 8,192 the pure one overran a 10 ms guard by about 100 ms.
+    index = GUARD_OVERRUN_CASES[impl.BACKEND]
+    impl.min_sop_counts(6, 0, 0.01)  # builds the pure twin's n=6 lattice
     overruns = []
     for _ in range(5):
         start = time.monotonic()
         with pytest.raises(GuardTimeoutError):
-            pure.min_sop_counts(6, 0xCFEDA7CFE8394EFD, 0.01)
+            impl.min_sop_counts(6, index, 0.01)
         overruns.append(time.monotonic() - start - 0.01)
     assert statistics.median(overruns) < 0.030
+
 
 @needs_compiled
 def test_kernel_selection_env(monkeypatch):
@@ -283,18 +289,12 @@ def test_facade_rejects_bad_input(impl, n, index):
 
 @pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
 def test_facade_polarity_minima(impl, monkeypatch):
-    import types
-
     from bfforms import kernels
 
-    # Either backend, and a twin that exports only the two halves, as the
-    # compiled one does.
-    halves = types.SimpleNamespace(rm_minima=impl.rm_minima, arith_minima=impl.arith_minima)
-    for backend in (impl, halves):
-        monkeypatch.setattr(kernels, "_impl", backend)
-        for n, index in ((1, 2), (3, 0b11101000), (6, 0x6996966996696996)):
-            expected = impl.rm_minima(n, index) + impl.arith_minima(n, index)
-            assert kernels.polarity_minima(n, index) == expected
-        for n, index in BAD_INPUTS:
-            with pytest.raises(ValueError):
-                kernels.polarity_minima(n, index)
+    monkeypatch.setattr(kernels, "_impl", impl)
+    for n, index in ((1, 2), (3, 0b11101000), (6, 0x6996966996696996)):
+        expected = library_polarity_minima(TruthTable.from_index(n, index))
+        assert kernels.polarity_minima(n, index) == expected
+    for n, index in BAD_INPUTS:
+        with pytest.raises(ValueError):
+            kernels.polarity_minima(n, index)

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from bfforms import cli
+from conftest import kernel_backends
+from bfforms import cli, kernels
 from bfforms.analysis import aggregate, sweep
 from bfforms.costs import CRITERIA
 from bfforms.reports import (
@@ -118,9 +119,11 @@ def test_no_reference_section_for_n2(tmp_path):
     assert "reference_comparison" not in summary
 
 
-def test_report_bytes_match_golden_digests(tmp_path):
+@pytest.mark.parametrize("impl", kernel_backends(), ids=lambda m: m.BACKEND)
+def test_report_bytes_match_golden_digests(impl, monkeypatch, tmp_path):
     # Digests recorded before the statistics moved to one aggregate pass
     # (sweep3, sample5) and before sweeps moved to NP classes (sweep4).
+    monkeypatch.setattr(kernels, "_impl", impl)
     expected = {}
     for line in GOLDEN_REPORTS.read_text().splitlines():
         if line and not line.startswith("#"):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cube_covers_row, oracle_min_cover, oracle_primes
+from conftest import cube_covers_row, kernel_backends, oracle_min_cover, oracle_primes
+from bfforms import kernels
 from bfforms.errors import GuardTimeoutError
 from bfforms.sop import Cube, SopForm, eval_sop, minimize_sop, prime_implicants
 from bfforms.truthtable import Assignment, TruthTable, sample_uniform
@@ -222,9 +223,11 @@ def test_minimize_n5_sampled_round_trip():
         assert minimize_sop(tt).cover_mask() == tt.index
 
 
-def test_minimize_matches_golden_covers():
+@pytest.mark.parametrize("impl", kernel_backends(), ids=lambda m: m.BACKEND)
+def test_minimize_matches_golden_covers(impl, monkeypatch):
     # Covers recorded from an independent exact minimizer; the tie-breaks
     # (fewest terms, fewest literals, least cube list) must reproduce them.
+    monkeypatch.setattr(kernels, "_impl", impl)
     rows = [
         line.split()
         for line in GOLDEN_COVERS.read_text().splitlines()
