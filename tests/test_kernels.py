@@ -38,6 +38,11 @@ needs_compiled = pytest.mark.skipif(
 )
 
 GOLDEN_MINIMA = Path(__file__).parent / "data" / "golden_polarity_minima.sha256"
+GOLDEN_SOP_COUNTS = Path(__file__).parent / "data" / "golden_sop_counts.sha256"
+GOLDEN_SOP_COUNTS_SETS = {
+    "n5_sample5": (5, lambda: sample_uniform(5, 4096, seed=1)),
+    "n6_seed6": (6, lambda: sample_uniform(6, 300, seed=6)),
+}
 GOLDEN_MINIMA_SETS = {
     "n4_all": (4, lambda: range(1 << 16)),
     "n5_seed55": (5, lambda: sample_uniform(5, 2048, seed=55)),
@@ -51,6 +56,16 @@ def minima_digest(indices, rows) -> str:
     for index, row in zip(indices, rows, strict=True):
         h.update(f"{index:x} {' '.join(map(str, row))}\n".encode())
     return h.hexdigest()
+
+
+def read_golden(path: Path) -> dict[str, str]:
+    """{set name: digest} from a ``<digest>  <name>`` file with # comments."""
+    expected = {}
+    for line in path.read_text().splitlines():
+        if line and not line.startswith("#"):
+            digest, name = line.split()
+            expected[name] = digest
+    return expected
 
 
 def library_polarity_minima(tt: TruthTable) -> tuple[int, ...]:
@@ -104,11 +119,7 @@ def test_kernel_matches_library_seeded_n5(impl):
 def test_polarity_minima_match_golden_digests(impl):
     # Digests recorded from the per-polarity butterfly scans, before the
     # polarity minima moved to one extended-transform pass.
-    expected = {}
-    for line in GOLDEN_MINIMA.read_text().splitlines():
-        if line and not line.startswith("#"):
-            digest, name = line.split()
-            expected[name] = digest
+    expected = read_golden(GOLDEN_MINIMA)
     assert expected.keys() == GOLDEN_MINIMA_SETS.keys()
     for name, (n, make_indices) in GOLDEN_MINIMA_SETS.items():
         indices = make_indices()
@@ -117,6 +128,19 @@ def test_polarity_minima_match_golden_digests(impl):
         # Spot check: the batch rows equal the one-function calls.
         for pos in random.Random(name).sample(range(len(indices)), 24):
             assert rows[pos] == impl.polarity_minima(n, indices[pos])
+
+
+@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
+@pytest.mark.parametrize("name", GOLDEN_SOP_COUNTS_SETS)
+def test_min_sop_counts_match_golden_digests(impl, name):
+    # Digests recorded from the cover search with essential primes only,
+    # before the dominance reductions and the transposition table.
+    n, make_indices = GOLDEN_SOP_COUNTS_SETS[name]
+    h = hashlib.sha256()
+    for index in make_indices():
+        terms, literals = impl.min_sop_counts(n, index, 60.0)
+        h.update(f"{index:x} {terms} {literals}\n".encode())
+    assert h.hexdigest() == read_golden(GOLDEN_SOP_COUNTS)[name]
 
 
 # Constants, single minterms at both ends, parity and a half-constant
