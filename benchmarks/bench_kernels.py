@@ -7,9 +7,12 @@ second and the speedup.  For the pure backend it also times its layers on
 the same indices: the SOP cover search (`min_sop_counts`), its prime filter
 (`_prime_ids`), and the polarity scan of both polynomial forms, once as the
 lane-parallel batch that sweeps use (`polarity_minima_batch`) and once one
-function per call (`polarity_minima`, as `analyze` uses it).  Last, it
+function per call (`polarity_minima`, as `analyze` uses it).  It then
 times the NP-class enumeration that exhaustive sweeps run before the
-kernel, for n=3 and n=4, and prints the class counts.  Usage:
+kernel, for n=3 and n=4, and prints the class counts.  Last, for each
+backend, it runs the SOP cover search on the 126 non-constant symmetric
+functions of six inputs, the hardest known inputs for it, and prints how
+many finish under a 1 s guard and the slowest finish.  Usage:
 
     python benchmarks/bench_kernels.py [--n4-count 8192] [--n5-count 2048]
 """
@@ -18,6 +21,7 @@ import argparse
 import time
 
 from bfforms import _kernels_py, npclasses
+from bfforms.errors import GuardTimeoutError
 from bfforms.truthtable import sample_uniform
 
 try:
@@ -26,6 +30,8 @@ try:
     BACKENDS = [_kernels_py, _kernels_c]
 except ImportError:
     BACKENDS = [_kernels_py]
+
+SYMMETRIC_GUARD_S = 1.0
 
 
 def bench(impl, n, indices):
@@ -40,6 +46,33 @@ def bench_layer(fn, n, indices):
     for index in indices:
         fn(n, index)
     return time.perf_counter() - start
+
+
+def symmetric_functions(n):
+    """The non-constant symmetric functions of n inputs, as row masks.
+
+    Bit w of the value vector v says whether the function is 1 on the rows
+    with w ones.
+    """
+    weights = [bin(x).count("1") for x in range(1 << n)]
+    return [
+        sum(1 << x for x, w in enumerate(weights) if v >> w & 1)
+        for v in range(1, (1 << (n + 1)) - 1)
+    ]
+
+
+def bench_symmetric(impl, guard_s):
+    """(finished, slowest seconds, its index) of the n=6 cover searches."""
+    finished, slowest = 0, (0.0, 0)
+    for index in symmetric_functions(6):
+        start = time.perf_counter()
+        try:
+            impl.min_sop_counts(6, index, guard_s)
+        except GuardTimeoutError:
+            continue
+        finished += 1
+        slowest = max(slowest, (time.perf_counter() - start, index))
+    return finished, *slowest
 
 
 def main():
@@ -77,6 +110,14 @@ def main():
         classes = npclasses.np_classes(n)
         elapsed = time.perf_counter() - start
         print(f"n={n} NP classes: {len(classes.representatives)} in {elapsed:.3f}s")
+    total = len(symmetric_functions(6))
+    print(f"n=6 symmetric, SOP cover search under a {SYMMETRIC_GUARD_S:g}s guard")
+    for impl in BACKENDS:
+        finished, elapsed, index = bench_symmetric(impl, SYMMETRIC_GUARD_S)
+        print(
+            f"  {impl.BACKEND:9s} {finished:3d}/{total} finish, "
+            f"slowest {elapsed:.3f}s ({index:#x})"
+        )
 
 
 if __name__ == "__main__":

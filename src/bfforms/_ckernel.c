@@ -6,9 +6,12 @@
  * _kernels_py.analyze_counts:
  *
  *   - the minimal SOP (terms, conjunctions, literals): the implicants among
- *     the 3**n ternary cubes, the prime ones among those, the essential
- *     primes, then branch-and-bound on (terms, literals) over the cyclic
- *     core;
+ *     the 3**n ternary cubes and the prime ones among those; then the
+ *     cyclic core, reached by taking essential primes (the rows covered
+ *     exactly once, from two bit planes) and dropping dominated primes
+ *     until neither changes anything (McCluskey's prime-implicant tables,
+ *     1956); then branch-and-bound on (terms, literals) over the core with
+ *     a transposition table of the uncovered row sets already reached;
  *   - per criterion, the minima over all polarities of the Reed-Muller and
  *     arithmetic forms, from one pass of the extended transform of Davio,
  *     Deschamps and Thayse (Discrete and Switching Functions, 1978) and an
@@ -23,12 +26,15 @@
  *
  * Each entry point returns a status: 0 done, 1 an SOP cover search overran
  * its wall-clock guard, -1 n outside 1..6 or an index with a bit past row
- * 2**n - 1.  The tables are sized for n <= 6 and live on the stack, so
+ * 2**n - 1 (for bf_min_cover: over 3**6 primes, one over 6 literals, or an
+ * on row no prime covers).  The tables are sized for n <= 6 and live on
+ * the stack (about 300 KB, most of it the transposition table), so
  * concurrent calls share nothing.
  */
 #define _POSIX_C_SOURCE 199309L /* clock_gettime */
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 #include <time.h>
 
 #define MAXN 6
@@ -82,42 +88,162 @@ static double now(void)
     return (double)ts.tv_sec + 1e-9 * (double)ts.tv_nsec;
 }
 
+/* A cover costs terms * TERM + literals.  Literals stay below TERM (at most
+ * 6 per term, 64 terms), so costs order as (terms, literals) pairs do. */
+#define TERM 1024
+
+/* Transposition-table slots; a power of two.  A slot keeps the last
+ * uncovered set hashed to it, so a collision only prunes less. */
+#define SEEN_BITS 14
+
 struct search {
-    const uint64_t *cov;        /* candidate primes */
+    const uint64_t *cov;        /* candidates' core rows */
     const uint8_t *lits;
     int ncand;
     uint64_t order[MAXROWS];    /* core rows by (covering candidates, row) */
-    int best_terms, best_lits;
+    int best;
     unsigned nodes;
     double deadline;
+    struct { uint64_t rows; int cost; } seen[1 << SEEN_BITS];
 };
 
-static int cover_search(struct search *st, uint64_t uncov, int terms, int lits)
+static int cover_search(struct search *st, uint64_t uncov, int cost)
 {
-    /* Every 1,024 nodes: well under a millisecond of work between checks. */
-    if (++st->nodes % 1024 == 0 && now() > st->deadline)
-        return GUARD;
+    /* Every 1,024 nodes: well under a millisecond of work between checks.
+     * The transposition table comes into use at the first check, so the
+     * many searches that end before it never pay for clearing it. */
+    if (++st->nodes % 1024 == 0) {
+        if (now() > st->deadline)
+            return GUARD;
+        if (st->nodes == 1024)
+            memset(st->seen, 0, sizeof st->seen);
+    }
     if (!uncov) {
-        if (terms < st->best_terms || (terms == st->best_terms && lits < st->best_lits)) {
-            st->best_terms = terms;
-            st->best_lits = lits;
-        }
+        if (cost < st->best)
+            st->best = cost;
         return DONE;
     }
     /* Any completion costs at least one more term and one more literal. */
-    if (terms + 1 > st->best_terms || (terms + 1 == st->best_terms && lits + 1 >= st->best_lits))
+    if (cost + TERM + 1 >= st->best)
         return DONE;
+    /* Reaching an uncovered set again at no lower cost adds nothing, since
+     * every completion adds the same cost to both. */
+    if (st->nodes >= 1024) {
+        size_t h = (size_t)((uncov * 0x9E3779B97F4A7C15u) >> (64 - SEEN_BITS));
+        if (st->seen[h].rows == uncov && st->seen[h].cost <= cost)
+            return DONE;
+        st->seen[h].rows = uncov;
+        st->seen[h].cost = cost;
+    }
     /* Branch on the uncovered row with the fewest covering candidates. */
     const uint64_t *pick = st->order;
     while (!(uncov & *pick))
         pick++;
     for (int i = 0; i < st->ncand; i++)
         if (st->cov[i] & *pick) {
-            int status = cover_search(st, uncov & ~st->cov[i], terms + 1, lits + st->lits[i]);
+            int status = cover_search(st, uncov & ~st->cov[i], cost + TERM + st->lits[i]);
             if (status != DONE)
                 return status;
         }
     return DONE;
+}
+
+/* Cost of the exact minimum cover of the on rows by the np primes (rows,
+ * literals) in lattice order; BAD_INPUT when some on row has no prime.
+ * The arrays are rewritten. */
+static int min_cover(uint64_t *cov, uint8_t *lits, int np, uint64_t on, double deadline, int *best)
+{
+    /* Cyclic core: two exact steps repeat until the candidates stop
+     * changing.  Essentials: a candidate that alone covers some uncovered
+     * row is in every cover drawn from the candidates, so it is taken.
+     * Dominance: a candidate is dropped when another covers a superset of
+     * its uncovered rows with no more literals (of two identical ones the
+     * later goes); swapping it for its dominator keeps the term count and
+     * adds no literals.  Taking essentials leaves the other rows' covering
+     * counts unchanged, so a round without drops is the fixed point. */
+    uint64_t uncov = on;
+    int cost = 0, nc = np, dropped;
+    do {
+        uint64_t once = 0, twice = 0;
+        for (int i = 0; i < nc; i++) {
+            twice |= once & cov[i];
+            once |= cov[i];
+        }
+        uint64_t sole = once & ~twice & uncov;
+        for (int i = 0; i < nc; i++)
+            if (cov[i] & sole) {
+                cost += TERM + lits[i];
+                uncov &= ~cov[i];
+            }
+        int k = 0;
+        for (int i = 0; i < nc; i++)
+            if (cov[i] & uncov) {
+                cov[k] = cov[i] & uncov;
+                lits[k++] = lits[i];
+            }
+        nc = k;
+        uint8_t drop[MAXCUBES];
+        for (int i = 0; i < nc; i++) {
+            drop[i] = 0;
+            for (int j = 0; j < nc && !drop[i]; j++)
+                drop[i] = lits[j] <= lits[i] && (cov[i] & ~cov[j]) == 0
+                          && (j < i || cov[j] != cov[i] || lits[j] < lits[i]);
+        }
+        k = 0;
+        for (int i = 0; i < nc; i++)
+            if (!drop[i]) {
+                cov[k] = cov[i];
+                lits[k++] = lits[i];
+            }
+        dropped = k < nc;
+        nc = k;
+    } while (dropped);
+    *best = cost;
+    if (!uncov)
+        return DONE;
+
+    struct search st;
+    st.cov = cov;
+    st.lits = lits;
+    st.ncand = nc;
+    st.best = cost;
+    st.nodes = 0;
+    st.deadline = deadline;
+
+    /* Greedy cover seeds the branch-and-bound upper bound. */
+    for (uint64_t g = uncov; g;) {
+        int pick = 0, gain = 0;
+        for (int i = 0; i < nc; i++)
+            if (__builtin_popcountll(cov[i] & g) > gain) {
+                gain = __builtin_popcountll(cov[i] & g);
+                pick = i;
+            }
+        if (!gain)
+            return BAD_INPUT; /* on rows outside every prime */
+        g &= ~cov[pick];
+        st.best += TERM + lits[pick];
+    }
+
+    /* Candidates are fixed for the search, so each core row's count of
+     * them is too: sort the rows once by (count, row). */
+    int count[MAXROWS], nrows = 0;
+    for (uint64_t m = uncov; m; m &= m - 1) {
+        uint64_t row = m & -m;
+        int c = 0;
+        for (int i = 0; i < nc; i++)
+            c += (cov[i] & row) != 0;
+        int k = nrows++;
+        for (; k > 0 && count[k - 1] > c; k--) {
+            st.order[k] = st.order[k - 1];
+            count[k] = count[k - 1];
+        }
+        st.order[k] = row;
+        count[k] = c;
+    }
+
+    int status = cover_search(&st, uncov, cost);
+    *best = st.best;
+    return status;
 }
 
 /* (terms, literals) of the exact minimum SOP cover of the on rows. */
@@ -155,74 +281,9 @@ static int min_sop(const struct lattice *lat, uint64_t on, double guard_s, int *
             plits[np++] = lat->lits[c];
         }
 
-    /* Essential primes: sole cover of some row.  They sit in every prime
-     * cover, so taking them preserves both optima. */
-    uint64_t taken = 0, uncov = on;
-    int t = 0, l = 0;
-    for (uint64_t m = on; m; m &= m - 1) {
-        uint64_t row = m & -m;
-        int count = 0, hit = 0;
-        for (int i = 0; i < np && count < 2; i++)
-            if (pcov[i] & row) {
-                count++;
-                hit = i;
-            }
-        if (count == 1 && !(taken & row)) {
-            taken |= pcov[hit];
-            uncov &= ~pcov[hit];
-            t++;
-            l += plits[hit];
-        }
-    }
-    if (!uncov) {
-        *terms = t;
-        *lits = l;
-        return DONE;
-    }
-
-    /* Candidates: the primes that meet the core, in lattice order.  No
-     * essential prime meets it. */
-    int nc = 0;
-    for (int i = 0; i < np; i++)
-        if (pcov[i] & uncov) {
-            pcov[nc] = pcov[i];
-            plits[nc++] = plits[i];
-        }
-    struct search st = {pcov, plits, nc, {0}, t, l, 0, deadline};
-
-    /* Greedy cover seeds the branch-and-bound upper bound. */
-    for (uint64_t g = uncov; g;) {
-        int best = 0, gain = 0;
-        for (int i = 0; i < nc; i++)
-            if (__builtin_popcountll(pcov[i] & g) > gain) {
-                gain = __builtin_popcountll(pcov[i] & g);
-                best = i;
-            }
-        g &= ~pcov[best];
-        st.best_terms++;
-        st.best_lits += plits[best];
-    }
-
-    /* Candidates are fixed for the call, so each core row's count of them
-     * is too: sort the rows once by (count, row). */
-    int count[MAXROWS], nrows = 0;
-    for (uint64_t m = uncov; m; m &= m - 1) {
-        uint64_t row = m & -m;
-        int c = 0;
-        for (int i = 0; i < nc; i++)
-            c += (pcov[i] & row) != 0;
-        int k = nrows++;
-        for (; k > 0 && count[k - 1] > c; k--) {
-            st.order[k] = st.order[k - 1];
-            count[k] = count[k - 1];
-        }
-        st.order[k] = row;
-        count[k] = c;
-    }
-
-    int status = cover_search(&st, uncov, t, l);
-    *terms = st.best_terms;
-    *lits = st.best_lits;
+    int cost, status = min_cover(pcov, plits, np, on, deadline, &cost);
+    *terms = cost / TERM;
+    *lits = cost % TERM;
     return status;
 }
 
@@ -298,6 +359,27 @@ int bf_analyze(int n, const uint64_t *index, size_t count, int32_t *out, double 
         polarity_minima(&lat, f, out + 3);
     }
     return DONE;
+}
+
+/* out[0], out[1]: (terms, literals) of the exact minimum cover of the on
+ * rows by count primes (rows, literals), as the SOP search takes them. */
+int bf_min_cover(const uint64_t *cov, const uint8_t *lits, size_t count, uint64_t on,
+                 double guard_s, int32_t *out)
+{
+    uint64_t pcov[MAXCUBES];
+    uint8_t plits[MAXCUBES];
+    if (count > MAXCUBES)
+        return BAD_INPUT;
+    for (size_t i = 0; i < count; i++) {
+        if (lits[i] > MAXN)
+            return BAD_INPUT;
+        pcov[i] = cov[i];
+        plits[i] = lits[i];
+    }
+    int cost, status = min_cover(pcov, plits, (int)count, on, now() + guard_s, &cost);
+    out[0] = cost / TERM;
+    out[1] = cost % TERM;
+    return status;
 }
 
 /* The six polarity minima of each index to out[6 * i]..out[6 * i + 5]. */

@@ -8,10 +8,19 @@ for the Reed-Muller and arithmetic forms).
 Truth tables are plain integers, bit ``x`` = value on row ``x``.
 
 The SOP side marks the implicants of the function among the 3**n ternary
-cubes, keeps the prime ones, selects the essential ones, and finishes the
-cyclic core with branch-and-bound on (term count, literal count).  The
-implicants live in one integer with two bits per variable, so each
-filtering step is a shift and a mask over all cubes at once.
+cubes and keeps the prime ones.  The implicants live in one integer with
+two bits per variable, so each filtering step is a shift and a mask over
+all cubes at once.  The exact cover search then reduces the prime table to
+its cyclic core (McCluskey, 1956) and searches the core:
+
+- essential primes come from two bit planes folded over the prime masks,
+  the rows covered once and the rows covered twice;
+- dominated primes (another covers a superset of the rows still uncovered
+  with no more literals) are dropped, and essentials are taken again,
+  until neither step changes anything;
+- branch-and-bound on (term count, literal count) prunes a node whose
+  uncovered rows were already reached at no higher cost (a transposition
+  table).
 
 The polarity side computes the extended vector of Davio, Deschamps and
 Thayse (*Discrete and Switching Functions*, 1978): 3**n integers whose
@@ -54,6 +63,14 @@ _IMPLICANT_CACHE: dict[int, tuple] = {}
 # Per lane: the count fields of both forms, and the bias as low byte.
 _COUNTS = 0xFF | 0xFF << 16
 _BIAS = 64
+
+# A cover costs terms * _TERM + literals.  Literals stay below _TERM (at
+# most 6 per term, 64 terms), so costs order as (terms, literals) pairs do.
+_TERM = 1 << 10
+
+# The cover search's transposition table is cleared past this many entries:
+# a lossy table only prunes less, and memory stays bounded.
+_SEEN_LIMIT = 1 << 16
 
 
 def _lattice(n: int):
@@ -172,107 +189,133 @@ def _prime_ids(n: int, on: int) -> list[int]:
     return primes
 
 
+def _cyclic_core(
+    cand: list[tuple[int, int]], uncov: int
+) -> tuple[list[tuple[int, int]], int, int]:
+    """(candidates, uncovered rows, cost taken) after the exact reductions.
+
+    ``cand`` holds (rows, literals) per prime in lattice order.  Two steps
+    repeat until the candidates stop changing:
+
+    - essentials: a candidate that alone covers some uncovered row is in
+      every cover drawn from the candidates, so it is taken;
+    - dominance: a candidate is dropped when another covers a superset of
+      its uncovered rows with no more literals (of two identical ones the
+      later goes).  Swapping a dominated prime for its dominator keeps the
+      term count and adds no literals, so an optimal cover survives.
+
+    Taking essentials leaves the other rows' covering counts unchanged, so
+    only a dominance drop can make new ones; a round without drops is the
+    fixed point.  Returned candidates hold only their uncovered rows.
+    """
+    cost = 0
+    while True:
+        # Rows covered at least once and at least twice, as two bit planes.
+        once = twice = 0
+        for cov, _ in cand:
+            twice |= once & cov
+            once |= cov
+        sole = once & ~twice & uncov
+        if sole:
+            for cov, lit in cand:
+                if cov & sole:
+                    cost += _TERM + lit
+                    uncov &= ~cov
+            if not uncov:
+                return [], 0, cost
+        cand = [(cov & uncov, lit) for cov, lit in cand if cov & uncov]
+        kept = []
+        for i, (ci, li) in enumerate(cand):
+            for j, (cj, lj) in enumerate(cand):
+                if lj <= li and ci & cj == ci and (j < i or cj != ci or lj < li):
+                    break
+            else:
+                kept.append((ci, li))
+        if len(kept) == len(cand):
+            return cand, uncov, cost
+        cand = kept
+
+
 def _min_cover(
     pcov: list[int],
     plit: list[int],
     on: int,
     deadline: float,
 ) -> tuple[int, int]:
-    """Exact minimum (terms, literals) prime cover of the ``on`` rows."""
-    nprimes = len(pcov)
-    selected_terms = 0
-    selected_lits = 0
-    chosen = [False] * nprimes
-    uncovered = on
+    """Exact minimum (terms, literals) prime cover of the ``on`` rows.
 
-    # Essential primes: sole cover of some still-uncovered row.  They sit
-    # in every prime cover, so taking them preserves both optima.
-    while uncovered:
-        essentials = []
-        m = uncovered
-        while m:
-            low = m & -m
-            m ^= low
-            hit = -1
-            count = 0
-            for i in range(nprimes):
-                if pcov[i] & low:
-                    count += 1
-                    if count > 1:
-                        break
-                    hit = i
-            if count == 1 and not chosen[hit]:
-                essentials.append(hit)
-        if not essentials:
-            break
-        for i in essentials:
-            if chosen[i]:
-                continue
-            chosen[i] = True
-            selected_terms += 1
-            selected_lits += plit[i]
-            uncovered &= ~pcov[i]
-
-    if not uncovered:
-        return selected_terms, selected_lits
-
-    cand = [i for i in range(nprimes) if pcov[i] & uncovered and not chosen[i]]
+    ``pcov`` and ``plit`` hold each prime's rows and literal count, in
+    lattice order.  Costs are kept as terms * _TERM + literals.
+    """
+    cand, uncov, cost = _cyclic_core(list(zip(pcov, plit)), on)
+    if not uncov:
+        return divmod(cost, _TERM)
 
     # Greedy cover seeds the branch-and-bound upper bound.
-    g_unc = uncovered
-    g_terms = selected_terms
-    g_lits = selected_lits
-    while g_unc:
-        best_i = -1
-        best_gain = 0
-        for i in cand:
-            gain = bin(pcov[i] & g_unc).count("1")
-            if gain > best_gain:
-                best_gain = gain
-                best_i = i
-        if best_i < 0:
+    best = [cost]
+    rest = uncov
+    while rest:
+        cov, lit = max(
+            cand, key=lambda c: (c[0] & rest).bit_count(), default=(0, 0)
+        )
+        if not cov & rest:
             raise ValueError("on-set rows outside every prime implicant")
-        g_unc &= ~pcov[best_i]
-        g_terms += 1
-        g_lits += plit[best_i]
-    best = [g_terms, g_lits]
+        rest &= ~cov
+        best[0] += _TERM + lit
 
-    # Candidates are fixed for the call, so each uncovered row's count of
+    # Candidates are fixed for the search, so each uncovered row's count of
     # them is too: order the rows once by (count, row), each with the
-    # candidates that cover it.
+    # (rows, cost) of the candidates that cover it.
     order = []
-    m = uncovered
+    m = uncov
     while m:
-        low = m & -m
-        m ^= low
-        covering = [(pcov[i], plit[i]) for i in cand if pcov[i] & low]
-        order.append((len(covering), low, covering))
+        row = m & -m
+        m ^= row
+        covering = [(cov, _TERM + lit) for cov, lit in cand if cov & row]
+        order.append((len(covering), row, covering))
     order.sort(key=lambda entry: entry[:2])
 
     nodes = [0]
+    # Transposition table: the least cost at which each uncovered set was
+    # reached.  Reaching it again at no lower cost adds nothing, since every
+    # completion adds the same cost to both.
+    seen: dict[int, int] = {}
 
-    def rec(uncov: int, terms: int, lits: int) -> None:
+    def rec(uncov: int, cost: int) -> None:
         nodes[0] += 1
         # Every 1,024 nodes: at n=6 that is a few ms of work between checks.
-        if nodes[0] & 0x3FF == 0 and time.monotonic() > deadline:
-            raise GuardTimeoutError("SOP count minimization exceeded its time guard")
+        if nodes[0] & 0x3FF == 0:
+            if time.monotonic() > deadline:
+                raise GuardTimeoutError(
+                    "SOP count minimization exceeded its time guard"
+                )
+            if len(seen) > _SEEN_LIMIT:
+                seen.clear()
         if not uncov:
-            if (terms, lits) < (best[0], best[1]):
-                best[0] = terms
-                best[1] = lits
+            if cost < best[0]:
+                best[0] = cost
             return
         # Any completion costs at least one more term and one more literal.
-        if (terms + 1, lits + 1) >= (best[0], best[1]):
+        if cost + _TERM + 1 >= best[0]:
             return
+        old = seen.get(uncov)
+        if old is not None and old <= cost:
+            return
+        seen[uncov] = cost
         # Branch on the uncovered row with the fewest covering candidates.
         for _, row, covering in order:
             if uncov & row:
                 break
-        for cov, lit in covering:
-            rec(uncov & ~cov, terms + 1, lits + lit)
+        for cov, step in covering:
+            rec(uncov & ~cov, cost + step)
 
-    rec(uncovered, selected_terms, selected_lits)
-    return best[0], best[1]
+    try:
+        rec(uncov, cost)
+    finally:
+        # rec refers to itself, and the cycle keeps the table alive until
+        # the garbage collector runs: free it now.
+        seen.clear()
+    return divmod(best[0], _TERM)
 
 
 def min_sop_counts(n: int, on: int, guard_s: float = 60.0) -> tuple[int, int]:

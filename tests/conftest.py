@@ -116,6 +116,35 @@ def oracle_min_cover(n: int, on_mask: int) -> tuple[int, int]:
     raise AssertionError("primes failed to cover the on-set")
 
 
+def plain_min_cover(pcov: list[int], plit: list[int], on: int) -> tuple[int, int]:
+    """Exact minimum (terms, literals) cover of the ``on`` rows by the primes.
+
+    ``pcov`` holds each prime's rows as a mask, ``plit`` its literal count.
+    Plain branch-and-bound with no reductions: no essential primes, no
+    dominance, no greedy bound.  It branches on the uncovered row with the
+    fewest covering primes and prunes a branch that cannot beat the best
+    (terms, literals) found, since each further term adds a literal.
+    """
+    best = [(len(pcov) + 1, 0)]
+
+    def rec(uncov: int, terms: int, lits: int) -> None:
+        if not uncov:
+            best[0] = min(best[0], (terms, lits))
+            return
+        if (terms + 1, lits + 1) >= best[0]:
+            return
+        rows = [1 << r for r in range(uncov.bit_length()) if uncov >> r & 1]
+        row = min(rows, key=lambda row: sum(1 for cov in pcov if cov & row))
+        for cov, lit in zip(pcov, plit):
+            if cov & row:
+                rec(uncov & ~cov, terms + 1, lits + lit)
+
+    rec(on, 0, 0)
+    if best[0][0] > len(pcov):
+        raise AssertionError("primes fail to cover the on rows")
+    return best[0]
+
+
 MAJ3_BITS = (0, 0, 0, 1, 0, 1, 1, 1)
 XOR3_BITS = (0, 1, 1, 0, 1, 0, 0, 1)
 

@@ -6,8 +6,10 @@ The Reed-Muller and arithmetic columns come from independent per-polarity
 transforms.  The SOP column does not: ``minimize_sop`` takes its (terms,
 literals) optimum from the kernel's own count search, so it checks only
 that the returned cover attains those counts.  The independent checks of
-the SOP optimum are the brute-force ``conftest.oracle_min_cover`` (n <= 4)
-and the golden covers in ``tests/data/golden_covers.txt``.
+the SOP optimum are the brute-force ``conftest.oracle_min_cover`` (n <= 4),
+the plain branch-and-bound ``conftest.plain_min_cover`` (n = 5 and 6), the
+golden covers in ``tests/data/golden_covers.txt`` and the golden SOP-count
+digests in ``tests/data/golden_sop_counts.sha256``.
 """
 
 import hashlib
@@ -21,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import kernel_backends
+from conftest import kernel_backends, plain_min_cover
 from bfforms import _kernels_py as pure
 from bfforms.arith import arithmetic_transform
 from bfforms.costs import cost_of_arith, cost_of_rm, cost_of_sop
@@ -143,6 +145,76 @@ def test_min_sop_counts_match_golden_digests(impl, name):
     assert h.hexdigest() == read_golden(GOLDEN_SOP_COUNTS)[name]
 
 
+@pytest.fixture(scope="module")
+def plain_search_cases():
+    """(n, index, plain_min_cover result) for seeded n=5 and n=6 draws."""
+    cases = []
+    for n, count, seed in ((5, 300, 515), (6, 60, 616)):
+        covers, lits, _ = pure._lattice(n)
+        for index in sample_uniform(n, count, seed):
+            primes = pure._prime_ids(n, index)
+            expected = plain_min_cover(
+                [covers[c] for c in primes], [lits[c] for c in primes], index
+            )
+            cases.append((n, index, expected))
+    return cases
+
+
+@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
+def test_min_sop_counts_match_plain_search(impl, plain_search_cases):
+    # The reductions and the transposition table change which branches the
+    # search visits, never the optimum.
+    for n, index, expected in plain_search_cases:
+        assert impl.min_sop_counts(n, index, 60.0) == expected, hex(index)
+
+
+# Hand-built (rows, literals) prime lists for the cover search, in lattice
+# order, with their optimum.
+DOMINANCE_CASES = {
+    # Equal rows: the one with fewer literals stays, first or second.
+    "equal-rows-fewer-lits-second": ([0b11, 0b11], [3, 2], 0b11, (1, 2)),
+    "equal-rows-fewer-lits-first": ([0b11, 0b11], [2, 3], 0b11, (1, 2)),
+    # Exact duplicates: exactly one of them stays, or row 0 loses its cover.
+    "duplicates": ([0b01, 0b01, 0b10], [1, 1, 1], 0b11, (2, 2)),
+    "triplicates": ([0b011, 0b011, 0b011, 0b110], [2, 2, 2, 2], 0b111, (2, 4)),
+    # No row has a sole cover at first.  Dropping 0b00001 (inside 0b00011,
+    # same literals) makes 0b00011 essential; with row 1 covered, 0b00110
+    # shrinks into 0b01100 and goes, making 0b01100 essential; with row 3
+    # covered, 0b11000 equals 0b10000 on the rows left, with more literals,
+    # and goes, making 0b10000 essential.
+    "three-rounds": (
+        [0b00011, 0b00001, 0b00110, 0b01100, 0b11000, 0b10000],
+        [2, 2, 2, 2, 2, 1],
+        0b11111,
+        (3, 5),
+    ),
+}
+
+
+@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
+@pytest.mark.parametrize("name", DOMINANCE_CASES)
+def test_min_cover_dominance_edge_cases(impl, name):
+    pcov, plit, on, expected = DOMINANCE_CASES[name]
+    assert plain_min_cover(pcov, plit, on) == expected
+    assert impl._min_cover(pcov, plit, on, time.monotonic() + 60.0) == expected
+
+
+@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
+def test_min_cover_rejects_uncovered_rows(impl):
+    with pytest.raises(ValueError):
+        impl._min_cover([0b01, 0b10], [1, 1], 0b111, time.monotonic() + 60.0)
+
+
+@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
+def test_symmetric_n6_finishes_under_default_guard(impl):
+    # 1 where two or three of six inputs are.  Every prime joins a 2-set of
+    # inputs to a 3-set containing it with 5 literals, so a minimum cover
+    # is a minimum edge cover of that bipartite graph: 35 rows less a
+    # 15-edge matching is 20 terms.  The search without dominance or a
+    # transposition table did not finish it in minutes.
+    assert impl.min_sop_counts(6, 0x117177E177E7EE8) == (20, 100)
+
+
 # Constants, single minterms at both ends, parity and a half-constant
 # function reach the largest extended-vector entries and the widest
 # per-polarity literal sums (64 monomials, 192 literals).
@@ -248,23 +320,22 @@ def test_guard_zero_aborts(impl):
     assert impl.min_sop_counts(3, 0, 0.0) == (0, 0)
 
 
-# A function whose cover search runs far past a 10 ms guard on each twin.
-# The C search finishes 0xCFEDA7CFE8394EFD in under a millisecond, so it
-# gets the symmetric function that is 1 where two or three inputs are.
-GUARD_OVERRUN_CASES = {"pure": 0xCFEDA7CFE8394EFD, "compiled": 0x117177E177E7EE8}
+# A function whose cover search runs far past a 10 ms guard on both twins:
+# the symmetric function of six inputs that is 1 where two, three or four
+# of them are.  Neither twin finished it under a 3 s guard.
+GUARD_OVERRUN_CASE = 0x177F7FFE7FFEFEE8
 
 
 @pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
 def test_guard_overrun_is_small(impl):
     # The cover search checks its wall-clock deadline every 1,024 nodes;
     # at 8,192 the pure one overran a 10 ms guard by about 100 ms.
-    index = GUARD_OVERRUN_CASES[impl.BACKEND]
     impl.min_sop_counts(6, 0, 0.01)  # builds the pure twin's n=6 lattice
     overruns = []
     for _ in range(5):
         start = time.monotonic()
         with pytest.raises(GuardTimeoutError):
-            impl.min_sop_counts(6, index, 0.01)
+            impl.min_sop_counts(6, GUARD_OVERRUN_CASE, 0.01)
         overruns.append(time.monotonic() - start - 0.01)
     assert statistics.median(overruns) < 0.030
 
