@@ -9,10 +9,12 @@ the same indices: the SOP cover search (`min_sop_counts`), its prime filter
 lane-parallel batch that sweeps use (`polarity_minima_batch`) and once one
 function per call (`polarity_minima`, as `analyze` uses it).  It then
 times the NP-class enumeration that exhaustive sweeps run before the
-kernel, for n=3 and n=4, and prints the class counts.  Last, for each
-backend, it runs the SOP cover search on the 126 non-constant symmetric
-functions of six inputs, the hardest known inputs for it, and prints how
-many finish under a 1 s guard and the slowest finish.  Usage:
+kernel, for n=3 and n=4, and prints the class counts.  Last, it runs the
+SOP cover search on the 126 non-constant symmetric functions of six
+inputs, the hardest known inputs for it, and prints how many finish under
+a 1 s guard and the slowest finish: the count search of each backend, then
+`minimize_sop`, whose cover search is the pure one on either backend.
+Usage:
 
     python benchmarks/bench_kernels.py [--n4-count 8192] [--n5-count 2048]
 """
@@ -22,7 +24,8 @@ import time
 
 from bfforms import _kernels_py, npclasses
 from bfforms.errors import GuardTimeoutError
-from bfforms.truthtable import sample_uniform
+from bfforms.sop import minimize_sop
+from bfforms.truthtable import TruthTable, sample_uniform
 
 try:
     from bfforms import _kernels_c
@@ -61,13 +64,14 @@ def symmetric_functions(n):
     ]
 
 
-def bench_symmetric(impl, guard_s):
-    """(finished, slowest seconds, its index) of the n=6 cover searches."""
+def bench_symmetric(search, guard_s):
+    """(finished, slowest seconds, its index) of ``search(index, guard_s)``
+    over the n=6 symmetric functions."""
     finished, slowest = 0, (0.0, 0)
     for index in symmetric_functions(6):
         start = time.perf_counter()
         try:
-            impl.min_sop_counts(6, index, guard_s)
+            search(index, guard_s)
         except GuardTimeoutError:
             continue
         finished += 1
@@ -112,10 +116,17 @@ def main():
         print(f"n={n} NP classes: {len(classes.representatives)} in {elapsed:.3f}s")
     total = len(symmetric_functions(6))
     print(f"n=6 symmetric, SOP cover search under a {SYMMETRIC_GUARD_S:g}s guard")
-    for impl in BACKENDS:
-        finished, elapsed, index = bench_symmetric(impl, SYMMETRIC_GUARD_S)
+    searches = [
+        (impl.BACKEND, lambda i, g, impl=impl: impl.min_sop_counts(6, i, g))
+        for impl in BACKENDS
+    ]
+    searches.append(
+        ("minimize_sop", lambda i, g: minimize_sop(TruthTable.from_index(6, i), g))
+    )
+    for label, search in searches:
+        finished, elapsed, index = bench_symmetric(search, SYMMETRIC_GUARD_S)
         print(
-            f"  {impl.BACKEND:9s} {finished:3d}/{total} finish, "
+            f"  {label:12s} {finished:3d}/{total} finish, "
             f"slowest {elapsed:.3f}s ({index:#x})"
         )
 

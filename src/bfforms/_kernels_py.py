@@ -18,9 +18,13 @@ its cyclic core (McCluskey, 1956) and searches the core:
 - dominated primes (another covers a superset of the rows still uncovered
   with no more literals) are dropped, and essentials are taken again,
   until neither step changes anything;
-- branch-and-bound on (term count, literal count) prunes a node whose
-  uncovered rows were already reached at no higher cost (a transposition
-  table).
+- branch-and-bound prunes a node whose uncovered rows were already
+  reached at no higher cost (a transposition table).
+
+The search takes one integer cost per prime and returns the least total
+cost and the chosen primes' positions.  The count path gives a prime
+_TERM + literals and splits the result with divmod; ``sop.minimize_sop``
+adds a tie-break weight per prime (its docstring says why that is exact).
 
 The polarity side computes the extended vector of Davio, Deschamps and
 Thayse (*Discrete and Switching Functions*, 1978): 3**n integers whose
@@ -64,8 +68,8 @@ _IMPLICANT_CACHE: dict[int, tuple] = {}
 _COUNTS = 0xFF | 0xFF << 16
 _BIAS = 64
 
-# A cover costs terms * _TERM + literals.  Literals stay below _TERM (at
-# most 6 per term, 64 terms), so costs order as (terms, literals) pairs do.
+# On the count path a prime costs _TERM + literals.  Literals stay below
+# _TERM (at most 6 per term, 64 terms), so costs order as (terms, literals).
 _TERM = 1 << 10
 
 # The cover search's transposition table is cleared past this many entries:
@@ -190,90 +194,98 @@ def _prime_ids(n: int, on: int) -> list[int]:
 
 
 def _cyclic_core(
-    cand: list[tuple[int, int]], uncov: int
-) -> tuple[list[tuple[int, int]], int, int]:
-    """(candidates, uncovered rows, cost taken) after the exact reductions.
+    cand: list[tuple[int, int, int]], uncov: int
+) -> tuple[list[tuple[int, int, int]], int, int, list[int]]:
+    """(candidates, uncovered rows, cost taken, positions taken).
 
-    ``cand`` holds (rows, literals) per prime in lattice order.  Two steps
-    repeat until the candidates stop changing:
+    ``cand`` holds (rows, cost, position) per prime.  Two steps repeat
+    until the candidates stop changing:
 
     - essentials: a candidate that alone covers some uncovered row is in
       every cover drawn from the candidates, so it is taken;
     - dominance: a candidate is dropped when another covers a superset of
-      its uncovered rows with no more literals (of two identical ones the
-      later goes).  Swapping a dominated prime for its dominator keeps the
-      term count and adds no literals, so an optimal cover survives.
+      its uncovered rows at no higher cost (of two identical ones the
+      later goes).  Swapping a dominated prime for its dominator adds no
+      cost, so an optimal cover survives.
 
     Taking essentials leaves the other rows' covering counts unchanged, so
     only a dominance drop can make new ones; a round without drops is the
     fixed point.  Returned candidates hold only their uncovered rows.
     """
     cost = 0
+    taken = []
     while True:
         # Rows covered at least once and at least twice, as two bit planes.
         once = twice = 0
-        for cov, _ in cand:
+        for cov, _, _ in cand:
             twice |= once & cov
             once |= cov
         sole = once & ~twice & uncov
         if sole:
-            for cov, lit in cand:
+            for cov, step, pos in cand:
                 if cov & sole:
-                    cost += _TERM + lit
+                    cost += step
+                    taken.append(pos)
                     uncov &= ~cov
             if not uncov:
-                return [], 0, cost
-        cand = [(cov & uncov, lit) for cov, lit in cand if cov & uncov]
+                return [], 0, cost, taken
+        cand = [(cov & uncov, step, pos) for cov, step, pos in cand if cov & uncov]
         kept = []
-        for i, (ci, li) in enumerate(cand):
-            for j, (cj, lj) in enumerate(cand):
-                if lj <= li and ci & cj == ci and (j < i or cj != ci or lj < li):
+        for i, (ci, wi, _) in enumerate(cand):
+            for j, (cj, wj, _) in enumerate(cand):
+                if wj <= wi and ci & cj == ci and (j < i or cj != ci or wj < wi):
                     break
             else:
-                kept.append((ci, li))
+                kept.append(cand[i])
         if len(kept) == len(cand):
-            return cand, uncov, cost
+            return cand, uncov, cost, taken
         cand = kept
 
 
-def _min_cover(
+def _least_cost_cover(
     pcov: list[int],
-    plit: list[int],
+    pcost: list[int],
     on: int,
     deadline: float,
-) -> tuple[int, int]:
-    """Exact minimum (terms, literals) prime cover of the ``on`` rows.
+) -> tuple[int, list[int]]:
+    """(least total cost, chosen positions) of a prime cover of ``on``.
 
-    ``pcov`` and ``plit`` hold each prime's rows and literal count, in
-    lattice order.  Costs are kept as terms * _TERM + literals.
+    ``pcov`` and ``pcost`` hold each prime's rows and positive cost, and
+    the positions index them.
     """
-    cand, uncov, cost = _cyclic_core(list(zip(pcov, plit)), on)
+    cand, uncov, cost, taken = _cyclic_core(
+        list(zip(pcov, pcost, range(len(pcov)))), on
+    )
     if not uncov:
-        return divmod(cost, _TERM)
+        return cost, taken
 
-    # Greedy cover seeds the branch-and-bound upper bound.
-    best = [cost]
+    # Greedy cover seeds the branch-and-bound upper bound, and its path the
+    # answer: the search never records a cover of equal cost.
+    best = [cost, None]
     rest = uncov
     while rest:
-        cov, lit = max(
-            cand, key=lambda c: (c[0] & rest).bit_count(), default=(0, 0)
+        cov, step, pos = max(
+            cand, key=lambda c: (c[0] & rest).bit_count(), default=(0, 0, 0)
         )
         if not cov & rest:
             raise ValueError("on-set rows outside every prime implicant")
         rest &= ~cov
-        best[0] += _TERM + lit
+        best[0] += step
+        best[1] = (pos, best[1])
 
     # Candidates are fixed for the search, so each uncovered row's count of
     # them is too: order the rows once by (count, row), each with the
-    # (rows, cost) of the candidates that cover it.
+    # (rows, cost, position) of the candidates that cover it.
     order = []
     m = uncov
     while m:
         row = m & -m
         m ^= row
-        covering = [(cov, _TERM + lit) for cov, lit in cand if cov & row]
+        covering = [c for c in cand if c[0] & row]
         order.append((len(covering), row, covering))
     order.sort(key=lambda entry: entry[:2])
+    # Any completion costs at least one more candidate.
+    least = min(step for _, step, _ in cand)
 
     nodes = [0]
     # Transposition table: the least cost at which each uncovered set was
@@ -281,7 +293,8 @@ def _min_cover(
     # completion adds the same cost to both.
     seen: dict[int, int] = {}
 
-    def rec(uncov: int, cost: int) -> None:
+    # ``path`` links the positions chosen so far as (position, parent).
+    def rec(uncov: int, cost: int, path) -> None:
         nodes[0] += 1
         # Every 1,024 nodes: at n=6 that is a few ms of work between checks.
         if nodes[0] & 0x3FF == 0:
@@ -294,9 +307,9 @@ def _min_cover(
         if not uncov:
             if cost < best[0]:
                 best[0] = cost
+                best[1] = path
             return
-        # Any completion costs at least one more term and one more literal.
-        if cost + _TERM + 1 >= best[0]:
+        if cost + least >= best[0]:
             return
         old = seen.get(uncov)
         if old is not None and old <= cost:
@@ -306,16 +319,35 @@ def _min_cover(
         for _, row, covering in order:
             if uncov & row:
                 break
-        for cov, step in covering:
-            rec(uncov & ~cov, cost + step)
+        for cov, step, pos in covering:
+            rec(uncov & ~cov, cost + step, (pos, path))
 
     try:
-        rec(uncov, cost)
+        rec(uncov, cost, None)
     finally:
         # rec refers to itself, and the cycle keeps the table alive until
         # the garbage collector runs: free it now.
         seen.clear()
-    return divmod(best[0], _TERM)
+    cost, path = best
+    while path is not None:
+        pos, path = path
+        taken.append(pos)
+    return cost, taken
+
+
+def _min_cover(
+    pcov: list[int],
+    plit: list[int],
+    on: int,
+    deadline: float,
+) -> tuple[int, int]:
+    """Exact minimum (terms, literals) prime cover of the ``on`` rows.
+
+    ``pcov`` and ``plit`` hold each prime's rows and literal count.  A
+    prime costs _TERM + literals, so cover costs split into the pair.
+    """
+    cost, _ = _least_cost_cover(pcov, [_TERM + lit for lit in plit], on, deadline)
+    return divmod(cost, _TERM)
 
 
 def min_sop_counts(n: int, on: int, guard_s: float = 60.0) -> tuple[int, int]:

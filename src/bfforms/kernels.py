@@ -55,11 +55,6 @@ def sweep_counts(
     return _impl.sweep_counts(n, start, stop, guard_s)
 
 
-def min_sop_counts(n: int, on: int, guard_s: float = 60.0) -> tuple[int, int]:
-    _check(n, on)
-    return _impl.min_sop_counts(n, on, guard_s)
-
-
 def polarity_minima(n: int, mask: int) -> tuple[int, ...]:
     """(rm_ad, rm_sh, rm_l, af_ad, af_sh, af_l): both forms' minima at once."""
     _check(n, mask)

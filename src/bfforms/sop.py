@@ -7,10 +7,15 @@ space for the tie-breaks is covers assembled from prime implicants, which
 always contains a global optimum.
 
 The prime implicants are filtered from the 3**n cube lattice of the sweep
-kernels, and the kernel's branch-and-bound gives the optimal (terms,
-literals) pair.  One depth-first pass over the primes in cube-string order
-then returns the first cover that meets that pair, which is the
-lexicographically least one.
+kernels and sorted by cube string.  The kernel's exact cover search then
+minimizes one integer cost per prime: of P primes, prime r with l literals
+costs (1 << s1) + (l << s2) + (1 << P) - (1 << (P - 1 - r)), where
+s2 = P + 7 and s1 = s2 + 9.  A cover has at most 64 terms and 384
+literals, so its low fields sum below 2**s2 and its literals below 2**9:
+covers order by (terms, literals) first.  Optimal covers have one size,
+and of two sets of one size the one holding the smallest differing
+position has the lower cost; it is the least cube list.  Distinct covers
+have distinct costs, so the search's pruning keeps this unique optimum.
 """
 
 from __future__ import annotations
@@ -18,8 +23,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from . import kernels
-from ._kernels_py import _prime_ids
+from ._kernels_py import _least_cost_cover, _prime_ids
 from .errors import GuardTimeoutError
 from .guard import resolve_guard
 from .truthtable import Assignment, TruthTable
@@ -171,54 +175,6 @@ def prime_implicants(tt: TruthTable) -> list[Cube]:
     return sorted(primes, key=lambda c: c.to_string())
 
 
-def _least_cover(
-    masks: list[int],
-    lits: list[int],
-    on: int,
-    terms: int,
-    literals: int,
-    deadline: float,
-) -> list[int]:
-    """Least index list of a cover of ``on`` with ``terms`` and ``literals``.
-
-    Indices are picked in increasing order, so covers of equal size are
-    visited in sorted-tuple order and the first complete one is the least.
-    A branch is pruned when some uncovered row has no covering prime at or
-    after the next index, or when the term or literal budget runs out;
-    every prime has at least one literal.
-    """
-    count = len(masks)
-    tail = [0] * (count + 1)
-    for i in range(count - 1, -1, -1):
-        tail[i] = tail[i + 1] | masks[i]
-    chosen: list[int] = []
-    nodes = 0
-
-    def search(start: int, uncovered: int, terms_left: int, lits_left: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if nodes & 0xFFF == 0 and time.monotonic() > deadline:
-            raise GuardTimeoutError("SOP minimization exceeded its time guard")
-        if not uncovered:
-            return terms_left == 0 and lits_left == 0
-        if lits_left < terms_left:
-            return False
-        spare = lits_left - terms_left + 1
-        for i in range(start, count):
-            if uncovered & ~tail[i]:
-                return False
-            if masks[i] & uncovered and lits[i] <= spare:
-                chosen.append(i)
-                if search(i + 1, uncovered & ~masks[i], terms_left - 1, lits_left - lits[i]):
-                    return True
-                chosen.pop()
-        return False
-
-    if not search(0, on, terms, literals):
-        raise RuntimeError("no prime cover attains the kernel's optimum")
-    return chosen
-
-
 def minimize_sop(tt: TruthTable, guard_s: float | None = None) -> SopForm:
     """Exact minimum SOP cover of ``tt``.
 
@@ -228,21 +184,25 @@ def minimize_sop(tt: TruthTable, guard_s: float | None = None) -> SopForm:
     or approximate answer is never returned.
     """
     n = tt.n
-    deadline = time.monotonic() + resolve_guard(guard_s)
+    guard = resolve_guard(guard_s)
     on = tt.index
     if on == 0:
         return SopForm(n, ())
     if on == (1 << (1 << n)) - 1:
         return SopForm(n, (Cube(n, 0, 0),))
+    if guard <= 0:
+        raise GuardTimeoutError("SOP minimization exceeded its time guard")
+    deadline = time.monotonic() + guard
 
-    terms, literals = kernels.min_sop_counts(n, on, deadline - time.monotonic())
     primes = prime_implicants(tt)
-    chosen = _least_cover(
-        [c.cover_mask() for c in primes],
-        [c.literal_count for c in primes],
-        on,
-        terms,
-        literals,
-        deadline,
+    count = len(primes)
+    s2 = count + 7
+    s1 = s2 + 9
+    costs = [
+        (1 << s1) + (c.literal_count << s2) + (1 << count) - (1 << (count - 1 - r))
+        for r, c in enumerate(primes)
+    ]
+    _, chosen = _least_cost_cover(
+        [c.cover_mask() for c in primes], costs, on, deadline
     )
-    return SopForm(n, tuple(primes[i] for i in chosen))
+    return SopForm(n, tuple(primes[i] for i in sorted(chosen)))

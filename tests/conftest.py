@@ -89,31 +89,39 @@ def oracle_primes(n: int, on_mask: int) -> list[str]:
     return sorted(primes)
 
 
-def oracle_min_cover(n: int, on_mask: int) -> tuple[int, int]:
-    """Exhaustive exact cover over prime implicants.
+def oracle_least_cover(n: int, on_mask: int) -> list[str]:
+    """Exhaustive exact cover over prime implicants, with its tie-break.
 
-    Returns (minimum term count, minimum literal total among covers of
-    that size).  Subsets are enumerated by increasing size, so the first
-    covering size is minimal.
+    Returns the least cube list among the covers of fewest terms and then
+    fewest literals.  Subsets are enumerated by increasing size, so the
+    first covering size is minimal; within a size they come in
+    lexicographic order of the sorted primes, so the first cover with the
+    fewest literals is the least cube list.
     """
     if on_mask == 0:
-        return (0, 0)
+        return []
     primes = oracle_primes(n, on_mask)
     masks = [cube_mask(s, n) for s in primes]
     lits = [sum(1 for ch in s if ch != "-") for s in primes]
     for r in range(1, len(primes) + 1):
-        best_lits = None
+        best = None
         for combo in itertools.combinations(range(len(primes)), r):
             union = 0
             for i in combo:
                 union |= masks[i]
             if union & on_mask == on_mask:
                 total = sum(lits[i] for i in combo)
-                if best_lits is None or total < best_lits:
-                    best_lits = total
-        if best_lits is not None:
-            return (r, best_lits)
+                if best is None or total < best[0]:
+                    best = (total, combo)
+        if best is not None:
+            return [primes[i] for i in best[1]]
     raise AssertionError("primes failed to cover the on-set")
+
+
+def oracle_min_cover(n: int, on_mask: int) -> tuple[int, int]:
+    """(minimum term count, minimum literal total among covers of that size)."""
+    cubes = oracle_least_cover(n, on_mask)
+    return (len(cubes), sum(1 for s in cubes for ch in s if ch != "-"))
 
 
 def plain_min_cover(pcov: list[int], plit: list[int], on: int) -> tuple[int, int]:

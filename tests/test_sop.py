@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cube_covers_row, kernel_backends, oracle_min_cover, oracle_primes
+from conftest import (
+    cube_covers_row,
+    kernel_backends,
+    oracle_least_cover,
+    oracle_min_cover,
+    oracle_primes,
+)
 from bfforms import kernels
 from bfforms.errors import GuardTimeoutError
 from bfforms.sop import Cube, SopForm, eval_sop, minimize_sop, prime_implicants
@@ -185,15 +191,45 @@ def test_slow_n6_finish_under_default_guard(index):
 
 
 def test_guard_abort_is_prompt():
-    # The first aborts in the least-cover pass (0.2 s in all), the second, 1
-    # where two, three or four of the six inputs are, in the kernel's count
-    # search, which runs for seconds on both twins.
-    for index in (SLOW_N6[0], 0x177F7FFE7FFEFEE8):
-        tt = TruthTable.from_index(6, index)
-        start = time.monotonic()
-        with pytest.raises(GuardTimeoutError):
-            minimize_sop(tt, guard_s=0.05)
-        assert time.monotonic() - start < 1.0
+    # 1 where two, three or four of the six inputs are: the cover search
+    # runs for seconds on it, far past this guard.
+    tt = TruthTable.from_index(6, 0x177F7FFE7FFEFEE8)
+    start = time.monotonic()
+    with pytest.raises(GuardTimeoutError):
+        minimize_sop(tt, guard_s=0.05)
+    assert time.monotonic() - start < 1.0
+
+
+@pytest.mark.parametrize("impl", kernel_backends(), ids=lambda m: m.BACKEND)
+def test_symmetric_n6_cover_under_default_guard(impl, monkeypatch):
+    # 1 where two or three of six inputs are: its minimum covers have 20
+    # terms of 5 literals each, as the kernels' count search finds
+    # (tests/test_kernels.py gives the reason).
+    monkeypatch.setattr(kernels, "_impl", impl)
+    index = 0x117177E177E7EE8
+    sop = minimize_sop(TruthTable.from_index(6, index))
+    assert sop.cover_mask() == index
+    assert len(sop.terms) == 20
+    assert sum(c.literal_count for c in sop.terms) == 100
+
+
+def test_minimize_matches_least_cover_oracle_l3(l3_tables):
+    for tt in l3_tables:
+        assert cover_strings(minimize_sop(tt)) == oracle_least_cover(3, tt.index)
+
+
+def test_minimize_matches_least_cover_oracle_n4_seeded():
+    for index in sample_uniform(4, 150, seed=404):
+        tt = TruthTable.from_index(4, index)
+        assert cover_strings(minimize_sop(tt)) == oracle_least_cover(4, index), hex(index)
+
+
+def test_minimize_least_cover_tie_break():
+    # Ties at 5 terms and 15 literals: a search that compares literals
+    # alone when dropping dominated primes returns 00-1 in place of 0-01.
+    expected = ["-000", "-011", "-101", "0-01", "1-10"]
+    assert oracle_least_cover(4, 0x6D2B) == expected
+    assert cover_strings(minimize_sop(TruthTable.from_index(4, 0x6D2B))) == expected
 
 
 def test_duplicate_cubes_rejected():
