@@ -15,9 +15,10 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from itertools import product
-from operator import attrgetter
+from itertools import compress
+from operator import attrgetter, itemgetter, mul
 
 from . import costs, kernels
 from .arith import best_arith_polarity, ArithPolynomial
@@ -89,24 +90,60 @@ class LossReport:
     percent_of_scenario: Fraction
 
 
+_COSTS = attrgetter(*costs.CRITERIA)
+
+
+def _cost_row(rec: SweepRecord) -> tuple[int, ...]:
+    return _COSTS(rec.cost_cfr) + _COSTS(rec.cost_rm) + _COSTS(rec.cost_afr)
+
+
+def _cost_rows(n: int, counts) -> list[tuple[int, ...]]:
+    """The cost row of each kernel count row; see :class:`SweepRecords`.
+
+    The area cells are the rail factor times the summand and conjunction
+    counts: 2n for the dual-rail SOP plane, n for the polynomial forms.
+    """
+    d = 2 * n
+    return [
+        (c_ad, c_sh, c_l, d * c_ad, d * c_sh,
+         r_ad, r_sh, r_l, n * r_ad, n * r_sh,
+         a_ad, a_sh, a_l, n * a_ad, n * a_sh)
+        for c_ad, c_sh, c_l, r_ad, r_sh, r_l, a_ad, a_sh, a_l in counts
+    ]  # fmt: skip
+
+
+def _record_of_row(index: int, row: tuple[int, ...]) -> SweepRecord:
+    return SweepRecord(
+        index,
+        cost_cfr=CostVector(*row[0:5]),
+        cost_rm=CostVector(*row[5:10]),
+        cost_afr=CostVector(*row[10:15]),
+    )
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class SweepRecords(Sequence):
-    """The records of a sweep, stored as one record per class of functions.
+    """The records of a sweep, stored as one cost row per class of functions.
 
-    Functions of one class share their costs, so only the class's record is
-    kept: ``indices[i]`` is the function at position ``i``,
-    ``class_of[i]`` its class, ``class_records[c]`` the record of class
-    ``c`` (carrying the index of one of its functions) and
-    ``class_sizes[c]`` the number of positions in class ``c``.  An
-    exhaustive sweep has one class per NP class; a sampled sweep, or any
-    plain list of records, one class per record.  Indexing and iteration
-    yield a :class:`SweepRecord` per function, equal to the one built for
-    that function alone.
+    Functions of one class share their costs, so only the class's costs are
+    kept: ``indices[i]`` is the function at position ``i``, ``class_of[i]``
+    its class, ``class_rows[c]`` the costs of class ``c``, ``class_indices[c]``
+    the index of one of its functions and ``class_sizes[c]`` the number of
+    positions in class ``c``.  A cost row is a tuple of 15 ints in the
+    column order of ``records.csv``: the five criteria of ``CRITERIA`` for
+    cfr, then rm, then afr.  An exhaustive sweep has one class per NP class;
+    a sampled sweep, or any plain list of records, one class per record.
+
+    Statistics and report tables read the rows.  Records are built only
+    when asked for: indexing and iteration yield a :class:`SweepRecord` per
+    function, equal to the one built for that function alone, and
+    ``class_records`` holds one per class, built on first read.
     """
 
     indices: Sequence[int]
     class_of: Sequence[int]
-    class_records: Sequence[SweepRecord]
+    class_indices: Sequence[int]
+    class_rows: Sequence[tuple[int, ...]]
     class_sizes: Sequence[int]
 
     @classmethod
@@ -115,10 +152,19 @@ class SweepRecords(Sequence):
         if isinstance(records, cls):
             return records
         records = tuple(records)
-        count = len(records)
-        return cls(
-            [rec.index for rec in records], range(count), records, (1,) * count
+        return cls._one_per_class(
+            [rec.index for rec in records], list(map(_cost_row, records))
         )
+
+    @classmethod
+    def _one_per_class(cls, indices, rows) -> SweepRecords:
+        count = len(indices)
+        return cls(indices, range(count), indices, rows, (1,) * count)
+
+    @cached_property
+    def class_records(self) -> tuple[SweepRecord, ...]:
+        """One record per class, carrying its ``class_indices`` entry."""
+        return tuple(map(_record_of_row, self.class_indices, self.class_rows))
 
     def _record(self, index: int, c: int) -> SweepRecord:
         rec = self.class_records[c]
@@ -233,7 +279,9 @@ def classify(record: SweepRecord, criterion: str) -> str:
 
 
 _SCOPES = FORMS + ("ofr", "cfr+afr", "cfr+rm")
-_COSTS = attrgetter(*costs.CRITERIA)
+# The (cfr, afr, rm) cost triple of each criterion in a cost row, whose
+# columns k, 5 + k and 10 + k hold criterion k of cfr, rm and afr.
+_TRIPLES = [itemgetter(k, 10 + k, 5 + k) for k in range(len(costs.CRITERIA))]
 
 
 @dataclass(frozen=True)
@@ -324,33 +372,37 @@ def aggregate(records) -> SweepStats:
     """Collect every rei, weight and loss input in one pass over ``records``.
 
     The pass tallies, per criterion, the records by their (cfr, afr, rm)
-    cost triple; the statistics then fold over the distinct triples.  A
-    :class:`SweepRecords` is tallied once per class, weighted by the class
-    size; any other sequence of records counts each record once.  A tally
-    is bounded by the cost range, not the record count: 104 to 309 triples
-    per criterion over the 65,536 functions at n=4.
+    cost triple, read from the cost rows of :class:`SweepRecords`; the
+    statistics then fold over the distinct triples.  Each class row counts
+    as many times as its class has positions, so a sweep is tallied once
+    per class and a plain sequence of records once per record.  A tally is
+    bounded by the cost range, not the record count: 104 to 309 triples per
+    criterion over the 65,536 functions at n=4.
     """
     recs = SweepRecords.of(records)
-    tallies = [Counter() for _ in costs.CRITERIA]
-    for rec, size in zip(recs.class_records, recs.class_sizes):
-        if not size:
-            continue
-        triples = zip(_COSTS(rec.cost_cfr), _COSTS(rec.cost_afr), _COSTS(rec.cost_rm))
-        for tally, triple in zip(tallies, triples):
-            tally[triple] += size
-    sums = dict.fromkeys(product(_SCOPES, costs.CRITERIA), 0)
-    maxima = dict.fromkeys(sums, 0)
-    labels = {c: dict.fromkeys(SUBSET_LABELS, 0) for c in costs.CRITERIA}
+    rows, sizes = recs.class_rows, recs.class_sizes
+    # Each class with positions counts once, then once more per further one.
+    more = [(row, size - 1) for row, size in zip(rows, sizes) if size > 1]
+    tallies = []
+    for triple in _TRIPLES:
+        tally = Counter(compress(map(triple, rows), sizes))
+        for row, extra in more:
+            tally[triple(row)] += extra
+        tallies.append(tally)
+    sums = {}
+    maxima = {}
+    labels = {}
     for criterion, tally in zip(costs.CRITERIA, tallies):
-        for (c, a, r), count in tally.items():
-            m = min(c, a, r)
-            labels[criterion][_SUBSET_OF[c == m, a == m, r == m]] += count
-            scoped = zip(_SCOPES, (c, a, r, m, min(c, a), min(c, r)))
-            for scope, cost in scoped:
-                key = (scope, criterion)
-                sums[key] += count * cost
-                if cost > maxima[key]:
-                    maxima[key] = cost
+        counts = list(tally.values())
+        c, a, r = (list(map(itemgetter(j), tally)) for j in range(3))
+        m = list(map(min, c, a, r))
+        scoped = (c, a, r, m, list(map(min, c, a)), list(map(min, c, r)))
+        for scope, cost in zip(_SCOPES, scoped):
+            sums[scope, criterion] = sum(map(mul, cost, counts))
+            maxima[scope, criterion] = max(cost, default=0)
+        label_counts = labels[criterion] = dict.fromkeys(SUBSET_LABELS, 0)
+        for ci, ai, ri, mi, count in zip(c, a, r, m, counts):
+            label_counts[_SUBSET_OF[ci == mi, ai == mi, ri == mi]] += count
     return SweepStats(
         n_max=sum(tallies[0].values()), sums=sums, maxima=maxima, labels=labels
     )
@@ -374,13 +426,18 @@ def q_aggregate(records, scenario: str, criterion: str) -> LossReport:
     return aggregate(records).q_aggregate(scenario, criterion)
 
 
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+
+
 def _batch_chunk(args: tuple[int, tuple[int, ...], float]) -> list[tuple[int, ...]]:
     n, indices, guard = args
     return kernels.analyze_batch(n, indices, guard)
 
 
 def _run_jobs(chunks, jobs: int):
-    if jobs <= 1 or len(chunks) <= 1:
+    if jobs == 1 or len(chunks) <= 1:
         results = [_batch_chunk(c) for c in chunks]
     else:
         # Imported here: multiprocessing adds about 2 MB to every process
@@ -402,17 +459,20 @@ def sweep(n: int, jobs: int = 1, guard_s: float | None = None) -> SweepRecords:
     inputs (:mod:`bfforms.npclasses`), so it runs once per NP class, on the
     class's least index, and every function shares its class's record:
     402 kernel calls for the 65,536 functions of n=4.  ``jobs`` is accepted
-    for symmetry with :func:`sampled_sweep` and has no effect.
+    for symmetry with :func:`sampled_sweep` and has no effect, but as there
+    a value below 1 raises ValueError.
     """
     if n not in (1, 2, 3, 4):
         raise ValueError(f"exhaustive sweeps support n in 1..4, got {n}")
+    _check_jobs(jobs)
     classes = np_classes(n)
     reps = classes.representatives
     counts = kernels.analyze_batch(n, reps, resolve_guard(guard_s))
     return SweepRecords(
         range(1 << (1 << n)),
         classes.class_of,
-        tuple(_record_from_counts(i, n, c) for i, c in zip(reps, counts)),
+        reps,
+        _cost_rows(n, counts),
         classes.sizes,
     )
 
@@ -424,17 +484,16 @@ def sampled_sweep(
 
     Each draw is its own class: random draws of n=5 almost never share an
     NP class.  The draws split into chunks over ``jobs`` processes; the
-    result is the same for every ``jobs`` value.
+    result is the same for every ``jobs`` value.  Raises ValueError for
+    ``jobs`` below 1.
     """
     if n > 5:
         raise ValueError(f"sampled sweeps support n <= 5, got {n}")
+    _check_jobs(jobs)
     guard = resolve_guard(guard_s)
     indices = sample_uniform(n, count, seed)
     chunks = [
         (n, tuple(indices[start : start + _CHUNK]), guard)
         for start in range(0, len(indices), _CHUNK)
     ]
-    counts = _run_jobs(chunks, jobs)
-    return SweepRecords.of(
-        _record_from_counts(idx, n, c) for idx, c in zip(indices, counts)
-    )
+    return SweepRecords._one_per_class(indices, _cost_rows(n, _run_jobs(chunks, jobs)))

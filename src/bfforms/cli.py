@@ -69,8 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="accepted and ignored: a sweep runs the kernel once per NP class, "
-        "402 calls at n=4; --jobs only affects sample",
+        help="accepted (at least 1) and ignored: a sweep runs the kernel once "
+        "per NP class, 402 calls at n=4; --jobs only affects sample",
     )
 
     smp = sub.add_parser("sample", help="seeded sampled sweep with report files")
@@ -78,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     smp.add_argument("--count", type=int, default=65536)
     smp.add_argument("--seed", type=int, required=True)
     smp.add_argument("--out", required=True, help="report directory")
-    smp.add_argument("--jobs", type=int, default=1, help="worker processes")
+    smp.add_argument("--jobs", type=int, default=1, help="worker processes, at least 1")
 
     cnv = sub.add_parser("convert", help="convert a PLA file into a chosen form")
     cnv.add_argument("--pla", required=True)

@@ -7,10 +7,13 @@ exact numerator/denominator pair next to its decimal rendering.  Output
 bytes depend only on the records, so reruns and different worker counts
 produce identical files.
 
-Every statistic table and the summary derive from one
+Every report reads the cost rows of a
+:class:`~bfforms.analysis.SweepRecords`, one tuple of 15 ints per class of
+functions in ``records.csv`` column order, and builds no record object.
+The statistic tables and the summary derive from one
 :class:`~bfforms.analysis.SweepStats`, built by a single pass over the
-records' classes; the per-function records table renders each class's
-cost cells once and joins them with the index column.
+class rows; the per-function records table renders each class's row once
+and joins it with the index of every function in the class.
 """
 
 from __future__ import annotations
@@ -166,23 +169,18 @@ class RenderedTable:
 
 
 def records_table(records) -> RenderedTable:
-    """One row per function: its index, then 15 cost cells per form.
+    """One row per function: its index, then 5 cost cells per form.
 
-    Functions of one class share their costs, so the cells of each class
-    are rendered once and joined with the index of every function in it.
+    The cost cells are a class's cost row, already in column order, so
+    each class's row is rendered once and joined with the index of every
+    function in it.
     """
     recs = SweepRecords.of(records)
     headers = ["index"]
     for form in ("cfr", "rm", "afr"):
         headers.extend(f"{form}_{c}" for c in CRITERIA)
-    cells = [
-        ",".join(
-            str(getattr(cv, c))
-            for cv in (rec.cost_cfr, rec.cost_rm, rec.cost_afr)
-            for c in CRITERIA
-        )
-        for rec in recs.class_records
-    ]
+    cell_format = ",".join(["%s"] * (len(headers) - 1))
+    cells = [cell_format % row for row in recs.class_rows]
     body = "".join(f"{i},{cells[c]}\n" for i, c in zip(recs.indices, recs.class_of))
     return RenderedTable(title="per-function records", headers=tuple(headers), body=body)
 

@@ -7,10 +7,13 @@ space for the tie-breaks is covers assembled from prime implicants, which
 always contains a global optimum.
 
 The prime implicants are filtered from the 3**n cube lattice of the sweep
-kernels and sorted by cube string.  The kernel's exact cover search then
-minimizes one integer cost per prime: of P primes, prime r with l literals
-costs (1 << s1) + (l << s2) + (1 << P) - (1 << (P - 1 - r)), where
-s2 = P + 7 and s1 = s2 + 9.  A cover has at most 64 terms and 384
+kernels, which also gives each prime's row mask and literal count.  Their
+ascending lattice ids are in cube-string order: a cube id has one base-3
+digit per variable, x_1 the top one, and digits 0, 1, 2 stand for '-',
+'0', '1', which ASCII orders the same way.  The kernel's exact cover
+search then minimizes one integer cost per prime: of P primes, prime r
+with l literals costs (1 << s1) + (l << s2) + (1 << P) - (1 << (P - 1 - r)),
+where s2 = P + 7 and s1 = s2 + 9.  A cover has at most 64 terms and 384
 literals, so its low fields sum below 2**s2 and its literals below 2**9:
 covers order by (terms, literals) first.  Optimal covers have one size,
 and of two sets of one size the one holding the smallest differing
@@ -23,7 +26,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from ._kernels_py import _least_cost_cover, _prime_ids
+from ._kernels_py import _lattice, _least_cost_cover, _prime_ids
 from .errors import GuardTimeoutError
 from .guard import resolve_guard
 from .truthtable import Assignment, TruthTable
@@ -157,22 +160,22 @@ def prime_implicants(tt: TruthTable) -> list[Cube]:
     cubes with one literal fewer) is.  Raises ValueError for the
     constant-0 function, which has none.  Result is sorted by cube string.
     """
-    n = tt.n
     if tt.index == 0:
         raise ValueError("constant-0 function has no implicants")
-    primes = []
-    for c in _prime_ids(n, tt.index):
-        # Lattice digit p: 0 = x absent, 1 = negative, 2 = positive literal.
-        care = value = 0
-        d = c
-        for p in range(n):
-            d, digit = divmod(d, 3)
-            if digit:
-                care |= 1 << p
-                if digit == 2:
-                    value |= 1 << p
-        primes.append(Cube(n, care, value))
-    return sorted(primes, key=lambda c: c.to_string())
+    return [_cube(tt.n, c) for c in _prime_ids(tt.n, tt.index)]
+
+
+def _cube(n: int, c: int) -> Cube:
+    """The cube of lattice id ``c``."""
+    # Lattice digit p: 0 = x absent, 1 = negative, 2 = positive literal.
+    care = value = 0
+    for p in range(n):
+        c, digit = divmod(c, 3)
+        if digit:
+            care |= 1 << p
+            if digit == 2:
+                value |= 1 << p
+    return Cube(n, care, value)
 
 
 def minimize_sop(tt: TruthTable, guard_s: float | None = None) -> SopForm:
@@ -194,15 +197,14 @@ def minimize_sop(tt: TruthTable, guard_s: float | None = None) -> SopForm:
         raise GuardTimeoutError("SOP minimization exceeded its time guard")
     deadline = time.monotonic() + guard
 
-    primes = prime_implicants(tt)
+    covers, lits, _ = _lattice(n)
+    primes = _prime_ids(n, on)
     count = len(primes)
     s2 = count + 7
     s1 = s2 + 9
     costs = [
-        (1 << s1) + (c.literal_count << s2) + (1 << count) - (1 << (count - 1 - r))
+        (1 << s1) + (lits[c] << s2) + (1 << count) - (1 << (count - 1 - r))
         for r, c in enumerate(primes)
     ]
-    _, chosen = _least_cost_cover(
-        [c.cover_mask() for c in primes], costs, on, deadline
-    )
-    return SopForm(n, tuple(primes[i] for i in sorted(chosen)))
+    _, chosen = _least_cost_cover([covers[c] for c in primes], costs, on, deadline)
+    return SopForm(n, tuple(_cube(n, primes[i]) for i in sorted(chosen)))

@@ -9,6 +9,7 @@ and cube evaluation from direct character matching.
 from __future__ import annotations
 
 import itertools
+import os
 import shutil
 import subprocess
 import sys
@@ -26,7 +27,15 @@ def pytest_configure(config):
     facade picks up the fresh build.  setuptools treats the extension as
     optional and only warns when it fails to compile; loading it is the
     check, and a failure stops the session instead of skipping tests.
+
+    The ``pythonpath`` setting in ``pyproject.toml`` puts ``src`` on this
+    process's path; ``PYTHONPATH`` gets it too, for the tests that run
+    ``bfforms`` in a child process.
     """
+    src = str(ROOT / "src")
+    paths = os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    if src not in paths:
+        os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [src, *paths]))
     if shutil.which("cc") is None:
         return
     build = subprocess.run(

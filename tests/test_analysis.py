@@ -20,7 +20,7 @@ from bfforms.analysis import (
     sweep,
 )
 from bfforms.costs import CRITERIA
-from bfforms.truthtable import TruthTable
+from bfforms.truthtable import TruthTable, sample_uniform
 
 
 @pytest.fixture(scope="module")
@@ -210,6 +210,26 @@ def test_sampled_sweep_deterministic():
 
 def test_sampled_sweep_parallel_determinism():
     assert sampled_sweep(4, 300, seed=9, jobs=1) == sampled_sweep(4, 300, seed=9, jobs=3)
+
+
+def test_sampled_sweep_equals_per_function_records():
+    records = sampled_sweep(5, 200, seed=21)
+    expected = [
+        analyze_record(TruthTable.from_index(5, index))
+        for index in sample_uniform(5, 200, 21)
+    ]
+    assert records == expected
+    assert expected == records
+    assert list(records) == expected
+    assert [records[i] for i in range(200)] == expected
+
+
+def test_jobs_below_one_rejected():
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match="jobs"):
+            sweep(2, jobs=jobs)
+        with pytest.raises(ValueError, match="jobs"):
+            sampled_sweep(3, 10, seed=1, jobs=jobs)
 
 
 def test_record_vectors_satisfy_cost_invariants(sweep3):

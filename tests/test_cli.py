@@ -64,6 +64,17 @@ def test_usage_errors_exit_1():
     assert run_cli("sweep", "--n", "9", "--out", "/tmp/x").returncode == 1
 
 
+def test_jobs_below_one_exits_1(tmp_path):
+    out = str(tmp_path / "report")
+    for jobs in ("0", "-2"):
+        sample = run_cli("sample", "--n", "3", "--count", "10", "--seed", "1",
+                         "--out", out, "--jobs", jobs)
+        assert sample.returncode == 1
+        assert "jobs" in sample.stderr
+        assert run_cli("sweep", "--n", "2", "--out", out, "--jobs", jobs).returncode == 1
+    assert not (tmp_path / "report").exists()
+
+
 def test_input_format_errors_exit_2(tmp_path):
     bad_hex = run_cli("analyze", "--n", "2", "--tt", "zz")
     assert bad_hex.returncode == 2

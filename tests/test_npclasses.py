@@ -110,7 +110,11 @@ _counts = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 8))
 
 @st.composite
 def compact_records(draw):
-    """A SweepRecords of 1-6 classes over up to 40 positions."""
+    """A SweepRecords of 1-6 classes over up to 40 positions, row-built.
+
+    Returns it with the records of its classes, built from the same counts
+    as CostVectors, and the record expected at each of its positions.
+    """
     n = draw(st.integers(1, 4))
     classes = draw(st.lists(st.tuples(_counts, _counts, _counts), min_size=1, max_size=6))
     class_of = draw(st.lists(st.integers(0, len(classes) - 1), max_size=40))
@@ -124,14 +128,31 @@ def compact_records(draw):
         )
         for c, (cf, af, rm) in enumerate(classes)
     )
+    rows = [
+        tuple(getattr(cv, k) for cv in (rec.cost_cfr, rec.cost_rm, rec.cost_afr)
+              for k in costs.CRITERIA)
+        for rec in class_records
+    ]
     sizes = tuple(class_of.count(c) for c in range(len(classes)))
-    return SweepRecords(indices, class_of, class_records, sizes)
+    records = SweepRecords(
+        indices, class_of, [rec.index for rec in class_records], rows, sizes
+    )
+    expected = [
+        SweepRecord(i, rec.cost_cfr, rec.cost_afr, rec.cost_rm)
+        for i, rec in zip(indices, (class_records[c] for c in class_of))
+    ]
+    return records, class_records, expected
 
 
 @settings(deadline=None, max_examples=150)
 @given(compact_records())
-def test_compact_fold_matches_expanded(records):
+def test_compact_fold_matches_expanded(drawn):
+    records, class_records, expected = drawn
+    assert records.class_records == class_records
     expanded = list(records)
-    assert [rec.index for rec in expanded] == list(records.indices)
+    assert expanded == expected
+    assert records == expected and expected == records
+    plain = SweepRecords.of(expanded)
+    assert plain.class_rows == [records.class_rows[c] for c in records.class_of]
     assert aggregate(records) == aggregate(expanded)
     assert records_table(records).render_csv() == records_table(expanded).render_csv()

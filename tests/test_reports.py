@@ -6,9 +6,9 @@ from pathlib import Path
 import pytest
 
 from conftest import kernel_backends
-from bfforms import cli, kernels
-from bfforms.analysis import aggregate, sweep
-from bfforms.costs import CRITERIA
+from bfforms import analysis, cli, kernels
+from bfforms.analysis import SweepRecord, aggregate, sweep
+from bfforms.costs import CRITERIA, CostVector
 from bfforms.reports import (
     ReportTable,
     format_rational,
@@ -18,6 +18,7 @@ from bfforms.reports import (
     write_sweep_reports,
 )
 
+REPORT_FILES = ("records.csv", "rei.csv", "weights.csv", "losses.csv", "summary.json")
 GOLDEN_REPORTS = Path(__file__).parent / "data" / "golden_reports.sha256"
 GOLDEN_RUNS = {
     "sweep3": ["sweep", "--n", "3", "--jobs", "1"],
@@ -135,3 +136,32 @@ def test_report_bytes_match_golden_digests(impl, monkeypatch, tmp_path):
     for name, digest in expected.items():
         data = (tmp_path / name).read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("impl", kernel_backends(), ids=lambda m: m.BACKEND)
+def test_sample_reports_identical_across_jobs(impl, monkeypatch, tmp_path):
+    # Two chunks of draws, so --jobs 2 runs the process pool.
+    monkeypatch.setattr(kernels, "_impl", impl)
+    count = str(analysis._CHUNK + 1)
+    for jobs in ("1", "2"):
+        argv = ["sample", "--n", "5", "--count", count, "--seed", "3", "--jobs", jobs]
+        assert cli.main(argv + ["--out", str(tmp_path / jobs)]) == 0
+    for name in REPORT_FILES:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+def test_reports_build_no_record_objects(monkeypatch, tmp_path):
+    built = []
+    for cls in (SweepRecord, CostVector):
+
+        def counting(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    assert cli.main(["sweep", "--n", "3", "--out", str(tmp_path / "sweep")]) == 0
+    argv = ["sample", "--n", "4", "--count", "300", "--seed", "5"]
+    assert cli.main(argv + ["--out", str(tmp_path / "sample")]) == 0
+    assert built == []
+    assert sweep(2)[0].cost_cfr.s_ad == 0
+    assert sorted(set(built)) == ["CostVector", "SweepRecord"]
