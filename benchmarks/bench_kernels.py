@@ -1,11 +1,17 @@
 #!/usr/bin/env python3
 """Benchmark the compiled C sweep kernel against the pure-Python fallback.
 
-Times `analyze_counts` throughput (the per-function work of a sweep) over
-an exhaustive n=4 slice and a seeded n=5 sample, then prints functions per
-second and the speedup.  For the pure backend it also times its layers on
-the same indices: the SOP cover search (`min_sop_counts`), its prime filter
-(`_prime_ids`), and the polarity scan of both polynomial forms, once as the
+Times `analyze_batch` throughput over an exhaustive n=4 slice and seeded
+n=5 and n=6 samples, then prints functions per second and the speedup.
+`analyze_batch` is the path `bfforms sweep` (n <= 4) and `sample` (n <= 5)
+run; no command sends it n=6 batches, so the n=6 figures time the kernel
+API alone.  On the pure backend it finds the primes and essential primes
+of the whole batch in bit planes (`_sop_planes.front_end`) and runs a
+cover search only for the functions whose essentials leave rows
+uncovered.  For the pure backend it also times its layers on the same
+indices: the one-function SOP path that `analyze_counts` runs
+(`min_sop_counts`) and its prime filter (`_prime_ids`), the batch front
+end, and the polarity scan of both polynomial forms, once as the
 lane-parallel batch that sweeps use (`polarity_minima_batch`) and once one
 function per call (`polarity_minima`, as `analyze` uses it).  It then
 times the NP-class enumeration that exhaustive sweeps run before the
@@ -22,7 +28,7 @@ Usage:
 import argparse
 import time
 
-from bfforms import _kernels_py, npclasses
+from bfforms import _kernels_py, _sop_planes, npclasses
 from bfforms.errors import GuardTimeoutError
 from bfforms.sop import minimize_sop
 from bfforms.truthtable import TruthTable, sample_uniform
@@ -48,6 +54,12 @@ def bench_layer(fn, n, indices):
     start = time.perf_counter()
     for index in indices:
         fn(n, index)
+    return time.perf_counter() - start
+
+
+def bench_batch_layer(fn, n, indices):
+    start = time.perf_counter()
+    list(fn(n, indices))
     return time.perf_counter() - start
 
 
@@ -88,6 +100,7 @@ def main():
     workloads = [
         (4, list(range(args.n4_count))),
         (5, sample_uniform(5, args.n5_count, seed=1)),
+        (6, sample_uniform(6, 512, seed=1)),
     ]
     for n, indices in workloads:
         print(f"n={n}, {len(indices)} functions")
@@ -100,10 +113,13 @@ def main():
                 for fn in (impl.min_sop_counts, impl._prime_ids, impl.polarity_minima):
                     elapsed = bench_layer(fn, n, indices)
                     print(f"    {fn.__name__:21s} {elapsed:8.3f}s")
-                start = time.perf_counter()
-                impl.polarity_minima_batch(n, indices)
-                elapsed = time.perf_counter() - start
-                print(f"    {'polarity_minima_batch':21s} {elapsed:8.3f}s")
+                batch_layers = [
+                    ("_sop_planes.front_end", _sop_planes.front_end),
+                    ("polarity_minima_batch", impl.polarity_minima_batch),
+                ]
+                for label, fn in batch_layers:
+                    elapsed = bench_batch_layer(fn, n, indices)
+                    print(f"    {label:21s} {elapsed:8.3f}s")
         if len(rates) == 2:
             print(f"  speedup   {rates['compiled'] / rates['pure']:8.1f}x")
         else:

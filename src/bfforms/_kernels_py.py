@@ -7,11 +7,28 @@ terms/conjunctions/literals, then per-criterion minima over all polarities
 for the Reed-Muller and arithmetic forms).
 Truth tables are plain integers, bit ``x`` = value on row ``x``.
 
-The SOP side marks the implicants of the function among the 3**n ternary
-cubes and keeps the prime ones.  The implicants live in one integer with
-two bits per variable, so each filtering step is a shift and a mask over
-all cubes at once.  The exact cover search then reduces the prime table to
-its cyclic core (McCluskey, 1956) and searches the core:
+The SOP side has two front ends, which find the same primes among the
+3**n ternary cubes, both with the cube ids of ``_lattice``.  One function
+at a time (``min_sop_counts``, ``analyze_counts``, ``sop.minimize_sop``),
+``_prime_ids`` marks the implicants in one integer with two bits per
+variable, so each filtering step is a shift and a mask over all cubes at
+once.
+
+``analyze_batch``, the path of ``bfforms sweep`` and ``sample``, works on
+the whole batch in bit planes (``_sop_planes``): one integer per row or
+per cube, with bit i for the i-th function.  An AND butterfly over the
+row planes gives each cube's implicant plane; a cube is prime when no
+parent (one digit turned 0, the variable absent) is an implicant.  Two
+planes per row count the primes that hold it, saturating at two: "at
+least once" is an OR of the primes, and "at least twice" also takes the
+AND of the two sides each time an absent digit is pushed down onto its
+x_p = 0 and x_p = 1 halves.  A prime that holds a row covered once is
+essential.  One transpose back then gives each function its essential
+primes, its uncovered rows and the other primes that meet them, and only
+a function with uncovered rows runs the cover search, on those primes.
+
+The exact cover search reduces the prime table to its cyclic core
+(McCluskey, 1956) and searches the core:
 
 - essential primes come from two bit planes folded over the prime masks,
   the rows covered once and the rows covered twice;
@@ -53,6 +70,7 @@ from __future__ import annotations
 import time
 from typing import Sequence
 
+from . import _sop_planes
 from .errors import GuardTimeoutError
 
 BACKEND = "pure"
@@ -243,19 +261,13 @@ def _cyclic_core(
 
 
 def _least_cost_cover(
-    pcov: list[int],
-    pcost: list[int],
-    on: int,
-    deadline: float,
+    cand: list[tuple[int, int, int]], on: int, deadline: float
 ) -> tuple[int, list[int]]:
     """(least total cost, chosen positions) of a prime cover of ``on``.
 
-    ``pcov`` and ``pcost`` hold each prime's rows and positive cost, and
-    the positions index them.
+    ``cand`` holds (rows, positive cost, position) per prime.
     """
-    cand, uncov, cost, taken = _cyclic_core(
-        list(zip(pcov, pcost, range(len(pcov)))), on
-    )
+    cand, uncov, cost, taken = _cyclic_core(cand, on)
     if not uncov:
         return cost, taken
 
@@ -346,7 +358,8 @@ def _min_cover(
     ``pcov`` and ``plit`` hold each prime's rows and literal count.  A
     prime costs _TERM + literals, so cover costs split into the pair.
     """
-    cost, _ = _least_cost_cover(pcov, [_TERM + lit for lit in plit], on, deadline)
+    cand = list(zip(pcov, [_TERM + lit for lit in plit], range(len(pcov))))
+    cost, _ = _least_cost_cover(cand, on, deadline)
     return divmod(cost, _TERM)
 
 
@@ -442,13 +455,15 @@ def arith_minima(n: int, mask: int) -> tuple[int, int, int]:
 
 
 def analyze_counts(n: int, index: int, guard_s: float = 60.0) -> tuple[int, ...]:
-    """Nine cost counts for one function index.
+    """Nine cost counts for one function index, one function per call.
 
     Layout: (cfr_terms, cfr_conjunctions, cfr_literals,
              rm_min_ad, rm_min_sh, rm_min_l,
              af_min_ad, af_min_sh, af_min_l).
     """
-    return analyze_batch(n, [index], guard_s)[0]
+    terms, literals = min_sop_counts(n, index, guard_s)
+    conj = terms - 1 if index == (1 << (1 << n)) - 1 else terms
+    return (terms, conj, literals) + polarity_minima(n, index)
 
 
 def sweep_counts(
@@ -463,13 +478,32 @@ def analyze_batch(
 ) -> list[tuple[int, ...]]:
     """analyze_counts over an index sequence, in order.
 
-    The polarity minima come from lane-parallel passes over the whole
-    sequence; the SOP cover search runs per index.
+    Both sides run on the whole sequence at once: the polarity minima in
+    lane-parallel passes, and the SOP front end in bit planes
+    (:func:`_sop_planes.front_end`).  Only a function whose essential primes
+    leave rows uncovered gets a cover search of its own, under its own
+    ``guard_s`` deadline.
     """
     full = (1 << (1 << n)) - 1
+    if guard_s <= 0 and any(0 < index < full for index in indices):
+        raise GuardTimeoutError("SOP count minimization exceeded its time guard")
+    covers, lits, _ = _lattice(n)
+    lit_masks = _sop_planes.literal_masks(n)
+    cands = list(zip(covers, [_TERM + lit for lit in lits], range(len(covers))))
     out = []
-    for index, minima in zip(indices, polarity_minima_batch(n, indices)):
-        terms, literals = min_sop_counts(n, index, guard_s)
+    for index, (essential, resid, uncov), minima in zip(
+        indices, _sop_planes.front_end(n, indices), polarity_minima_batch(n, indices)
+    ):
+        cost = _TERM * essential.bit_count()
+        cost += sum((essential & m).bit_count() for m in lit_masks)
+        if uncov:
+            cand = []
+            while resid:
+                low = resid & -resid
+                resid ^= low
+                cand.append(cands[low.bit_length() - 1])
+            cost += _least_cost_cover(cand, uncov, time.monotonic() + guard_s)[0]
+        terms, literals = divmod(cost, _TERM)
         conj = terms - 1 if index == full else terms
         out.append((terms, conj, literals) + minima)
     return out

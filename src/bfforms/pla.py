@@ -4,7 +4,8 @@ Supported directives: ``.i``, ``.o``, ``.p`` (optional, validated), ``.e``
 (required terminator).  ``#`` starts a comment.  ``.ilb``/``.ob`` label
 lines are accepted and ignored with a warning; any other directive is an
 error.  Cube rows use ``{0,1,-}`` over the inputs (leftmost character is
-x_1) and ``{0,1}`` over the outputs.
+x_1) and ``{0,1}`` over the outputs.  ``.i`` must lie in 1..6, the sizes
+the package minimizes, so no document expands past 64 rows.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import PlaFormatError
-from .truthtable import TruthTable
+from .truthtable import MAX_N, TruthTable
 
 
 @dataclass(frozen=True)
@@ -48,6 +49,10 @@ def parse_pla(text: str) -> PlaDocument:
             directive = parts[0]
             if directive == ".i":
                 num_inputs = intarg(parts, lineno, ".i")
+                if not 1 <= num_inputs <= MAX_N:
+                    raise PlaFormatError(
+                        lineno, f".i {num_inputs} is outside 1..{MAX_N}"
+                    )
             elif directive == ".o":
                 num_outputs = intarg(parts, lineno, ".o")
             elif directive == ".p":

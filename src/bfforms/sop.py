@@ -206,5 +206,6 @@ def minimize_sop(tt: TruthTable, guard_s: float | None = None) -> SopForm:
         (1 << s1) + (lits[c] << s2) + (1 << count) - (1 << (count - 1 - r))
         for r, c in enumerate(primes)
     ]
-    _, chosen = _least_cost_cover([covers[c] for c in primes], costs, on, deadline)
+    cand = list(zip([covers[c] for c in primes], costs, range(count)))
+    _, chosen = _least_cost_cover(cand, on, deadline)
     return SopForm(n, tuple(_cube(n, primes[i]) for i in sorted(chosen)))

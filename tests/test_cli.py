@@ -89,6 +89,21 @@ def test_input_format_errors_exit_2(tmp_path):
     assert missing.returncode == 2
 
 
+def test_convert_rejects_input_count_outside_1_to_6(tmp_path):
+    # A .i 22 file with one all-dash row used to expand 2**22 rows and ran
+    # for minutes; .i 7 exited 1.  Both are input format errors.
+    for inputs in (22, 7):
+        pla = tmp_path / f"wide{inputs}.pla"
+        pla.write_text(f".i {inputs}\n.o 1\n{'-' * inputs} 1\n.e\n")
+        result = subprocess.run(
+            [sys.executable, "-m", "bfforms", "convert", "--pla", str(pla),
+             "--form", "cfr"],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert result.returncode == 2, result.stderr
+        assert f".i {inputs} is outside 1..6" in result.stderr
+
+
 def test_guard_abort_exits_3(monkeypatch):
     import os
 

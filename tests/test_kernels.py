@@ -23,8 +23,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import kernel_backends, plain_min_cover
+from conftest import cube_mask, kernel_backends, oracle_primes, plain_min_cover
 from bfforms import _kernels_py as pure
+from bfforms import _sop_planes
 from bfforms.arith import arithmetic_transform
 from bfforms.costs import cost_of_arith, cost_of_rm, cost_of_sop
 from bfforms.errors import GuardTimeoutError
@@ -132,17 +133,136 @@ def test_polarity_minima_match_golden_digests(impl):
             assert rows[pos] == impl.polarity_minima(n, indices[pos])
 
 
+def sop_digest(indices, pairs) -> str:
+    """sha256 of one "index terms literals" line per index."""
+    h = hashlib.sha256()
+    for index, (terms, literals) in zip(indices, pairs, strict=True):
+        h.update(f"{index:x} {terms} {literals}\n".encode())
+    return h.hexdigest()
+
+
+def sop_columns(rows) -> list[tuple[int, int]]:
+    """(terms, literals) of each nine-count kernel row."""
+    return [(row[0], row[2]) for row in rows]
+
+
 @pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
 @pytest.mark.parametrize("name", GOLDEN_SOP_COUNTS_SETS)
 def test_min_sop_counts_match_golden_digests(impl, name):
     # Digests recorded from the cover search with essential primes only,
     # before the dominance reductions and the transposition table.
     n, make_indices = GOLDEN_SOP_COUNTS_SETS[name]
-    h = hashlib.sha256()
-    for index in make_indices():
-        terms, literals = impl.min_sop_counts(n, index, 60.0)
-        h.update(f"{index:x} {terms} {literals}\n".encode())
-    assert h.hexdigest() == read_golden(GOLDEN_SOP_COUNTS)[name]
+    indices = make_indices()
+    pairs = [impl.min_sop_counts(n, index, 60.0) for index in indices]
+    assert sop_digest(indices, pairs) == read_golden(GOLDEN_SOP_COUNTS)[name]
+
+
+@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
+@pytest.mark.parametrize("name", GOLDEN_SOP_COUNTS_SETS)
+def test_analyze_batch_sop_matches_golden_digests(impl, name):
+    # The batch path (the pure twin's bit-plane front end) against the
+    # digests of the one-function path, the whole set in one batch.
+    n, make_indices = GOLDEN_SOP_COUNTS_SETS[name]
+    indices = make_indices()
+    rows = impl.analyze_batch(n, indices, 60.0)
+    assert sop_digest(indices, sop_columns(rows)) == read_golden(GOLDEN_SOP_COUNTS)[name]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_analyze_batch_sop_equals_single_path_all_functions(n):
+    indices = range(1 << (1 << n))
+    rows = pure.analyze_batch(n, indices, 60.0)
+    assert sop_columns(rows) == [pure.min_sop_counts(n, i, 60.0) for i in indices]
+
+
+def seeded_batch(n: int, size: int) -> list[int]:
+    """``size`` seeded draws; from three on, 0 first, all-ones last and a
+    repeat of the second draw in the middle."""
+    batch = sample_uniform(n, size, seed=100 * n + size) if size else []
+    if size >= 3:
+        batch[0] = 0
+        batch[-1] = (1 << (1 << n)) - 1
+        batch[size // 2] = batch[1]
+    return batch
+
+
+@pytest.mark.parametrize("size", [0, 1, 7, 8, 9, 64, 65, 2049])
+@pytest.mark.parametrize("n", [5, 6])
+def test_analyze_batch_sop_equals_single_path_seeded(n, size):
+    # Lengths around the transpose's 64-function blocks, and past the
+    # sample chunk of 2,048.
+    batch = seeded_batch(n, size)
+    rows = pure.analyze_batch(n, batch, 60.0)
+    assert len(rows) == size
+    assert sop_columns(rows) == [pure.min_sop_counts(n, i, 60.0) for i in batch]
+
+
+def brute_front_end(n: int, on: int) -> tuple[int, int, int]:
+    """(essential, residual, uncovered) from the brute-force primes.
+
+    A cube's id is the position of its row mask among the lattice covers.
+    """
+    covers = pure._lattice(n)[0]
+    masks = [cube_mask(c, n) for c in oracle_primes(n, on)]
+    primes = {covers.index(m): m for m in masks}
+    essential = covered = 0
+    for c, rows in primes.items():
+        others = 0
+        for d, more in primes.items():
+            if d != c:
+                others |= more
+        if rows & ~others:
+            essential |= 1 << c
+            covered |= rows
+    uncovered = on & ~covered
+    residual = sum(
+        1 << c for c, rows in primes.items() if rows & uncovered and not essential >> c & 1
+    )
+    return essential, residual, uncovered
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_front_end_matches_brute_force(n):
+    # Counts alone would not show a missed essential: the cover search
+    # takes it later at the same cost.  So the planes are checked too.
+    full = (1 << (1 << n)) - 1
+    if n <= 3:
+        masks = list(range(full + 1))
+    else:
+        masks = [0, full] + sample_uniform(n, {4: 300, 5: 30}[n], seed=90 + n)
+    got = list(_sop_planes.front_end(n, masks))
+    assert got == [brute_front_end(n, on) for on in masks]
+
+
+@pytest.mark.parametrize("rows, width", [(0, 5), (1, 1), (3, 70), (64, 64), (130, 32)])
+def test_transpose(rows, width):
+    rng = random.Random(rows)
+    matrix = [rng.getrandbits(width) for _ in range(rows)]
+    columns = list(_sop_planes.transpose(matrix, width))
+    assert columns == [
+        sum((row >> j & 1) << r for r, row in enumerate(matrix)) for j in range(width)
+    ]
+
+
+def test_analyze_batch_takes_the_plane_path(monkeypatch):
+    # A 2,048-draw n=5 chunk, the unit `bfforms sample` hands the kernel,
+    # gets its primes and essentials from the bit planes: no per-function
+    # prime filter or count search runs.
+    calls = {"_prime_ids": 0, "min_sop_counts": 0}
+    for name in calls:
+        original = getattr(pure, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(pure, name, counted)
+    draws = sample_uniform(5, 2048, seed=31)
+    rows = pure.analyze_batch(5, draws, 60.0)
+    assert calls == {"_prime_ids": 0, "min_sop_counts": 0}
+    # The wrappers count when called.
+    assert sop_columns(rows[:3]) == [pure.min_sop_counts(5, i, 60.0) for i in draws[:3]]
+    assert calls == {"_prime_ids": 3, "min_sop_counts": 3}
 
 
 @pytest.fixture(scope="module")
@@ -320,6 +440,45 @@ def test_guard_zero_aborts(impl):
     assert impl.min_sop_counts(3, 0, 0.0) == (0, 0)
 
 
+@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
+def test_analyze_batch_guard_zero(impl):
+    # As min_sop_counts: any non-constant index aborts, even one whose
+    # essential primes cover it (0b1 needs no search), and an all-constant
+    # batch is exempt.
+    for batch in ([0, 0b11101000, 255], [0b1]):
+        with pytest.raises(GuardTimeoutError):
+            impl.analyze_batch(3, batch, 0.0)
+    batch = [0, 255, 0]
+    assert impl.analyze_batch(3, batch, 0.0) == [
+        impl.analyze_counts(3, i, 60.0) for i in batch
+    ]
+
+
+def test_analyze_batch_deadline_per_function(monkeypatch):
+    # Under a clock that each cover search moves on by one second, every
+    # search still starts with the whole 30 s guard ahead of it.
+    class Clock:
+        now = 0.0
+
+        def monotonic(self):
+            return self.now
+
+    clock = Clock()
+    slack = []
+    search = pure._least_cost_cover
+
+    def slow(cand, on, deadline):
+        slack.append(deadline - clock.now)
+        clock.now += 1.0
+        return search(cand, on, deadline)
+
+    monkeypatch.setattr(pure, "time", clock)
+    monkeypatch.setattr(pure, "_least_cost_cover", slow)
+    pure.analyze_batch(5, sample_uniform(5, 200, seed=77), 30.0)
+    assert len(slack) > 100
+    assert set(slack) == {30.0}
+
+
 # A function whose cover search runs far past a 10 ms guard on both twins:
 # the symmetric function of six inputs that is 1 where two, three or four
 # of them are.  Neither twin finished it under a 3 s guard.
@@ -337,6 +496,25 @@ def test_guard_overrun_is_small(impl):
         with pytest.raises(GuardTimeoutError):
             impl.min_sop_counts(6, GUARD_OVERRUN_CASE, 0.01)
         overruns.append(time.monotonic() - start - 0.01)
+    assert statistics.median(overruns) < 0.030
+
+
+@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
+def test_analyze_batch_guard_overrun_is_small(impl):
+    # The overrun case at the end of a batch: it aborts as promptly as the
+    # single call above, once the functions before it have run.  (Should
+    # one of them abort first, the overrun only reads smaller.)
+    batch = sample_uniform(6, 63, seed=78) + [GUARD_OVERRUN_CASE]
+    impl.analyze_batch(6, batch[:63], 60.0)  # warm the n=6 tables
+    overruns = []
+    for _ in range(5):
+        start = time.monotonic()
+        impl.analyze_batch(6, batch[:63], 60.0)
+        before = time.monotonic() - start
+        start = time.monotonic()
+        with pytest.raises(GuardTimeoutError):
+            impl.analyze_batch(6, batch, 0.01)
+        overruns.append(time.monotonic() - start - before - 0.01)
     assert statistics.median(overruns) < 0.030
 
 

@@ -95,6 +95,16 @@ def test_unknown_directive():
     assert err.value.line == 3
 
 
+@pytest.mark.parametrize("inputs", [0, 7, 22])
+def test_input_count_outside_1_to_6_rejected(inputs):
+    # Checked at the .i line, before any cube row could expand to 2**inputs
+    # rows.
+    text = f"# header\n.i {inputs}\n.o 1\n{'-' * inputs} 1\n.e\n"
+    with pytest.raises(PlaFormatError) as err:
+        parse_pla(text)
+    assert err.value.line == 2
+
+
 def test_missing_terminator():
     with pytest.raises(PlaFormatError):
         parse_pla(".i 2\n.o 1\n11 1\n")
