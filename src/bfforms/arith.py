@@ -1,10 +1,12 @@
 """Arithmetic (integer-coefficient) polynomials and piecewise-constant images.
 
 The canonical arithmetic polynomial of a Boolean function evaluates to
-exactly 0 or 1 on every assignment.  Like the Reed-Muller transform it is
-computed by n per-variable butterfly passes, here over the integers with a
-sign adjustment per inverted variable.  All arithmetic is exact: integers
-for polynomials, ``fractions.Fraction`` wherever a half shows up.
+exactly 0 or 1 on every assignment.  It comes from the same integer
+butterfly pair as the Reed-Muller polynomial (:mod:`bfforms.reedmuller`),
+which keeps the parity of these coefficients: the forward butterfly gives
+the coefficients, the inverse butterfly the values on every row.  All
+arithmetic is exact: integers for polynomials, ``fractions.Fraction``
+wherever a half shows up.
 """
 
 from __future__ import annotations
@@ -12,9 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import costs
-from .reedmuller import PolarityVector, scan_polarities, term_string
-from .truthtable import Assignment, TruthTable, _validate_n
+from .reedmuller import (
+    PolarityVector,
+    butterfly,
+    inverse_butterfly,
+    scan_polarities,
+    value_at,
+)
+from .truthtable import Assignment, TruthTable, _validate_n, product_string
 
 Number = int | Fraction
 
@@ -49,13 +56,14 @@ class ArithPolynomial:
         return self.polarity.n
 
     def __str__(self) -> str:
+        k = self.polarity.k
         pieces = []
         for j, c in enumerate(self.coeffs):
             if c == 0:
                 continue
             sign = "-" if c < 0 else "+"
             mag = -c if c < 0 else c
-            term = term_string(self.polarity, j)
+            term = product_string(self.n, j, j & ~k)
             if term == "1":
                 body = str(mag)
             elif mag == 1:
@@ -96,56 +104,17 @@ def arithmetic_transform(tt: TruthTable, p: PolarityVector) -> ArithPolynomial:
     """Canonical integer polynomial of ``tt`` at polarity ``p``."""
     if p.n != tt.n:
         raise ValueError(f"polarity has n={p.n}, table has n={tt.n}")
-    n = tt.n
-    arr: list[int] = list(tt.bits)
-    k = p.k
-    for pos in range(n):
-        stride = 1 << pos
-        neg = (k >> pos) & 1
-        for i in range(1 << n):
-            if i & stride:
-                continue
-            lo = arr[i]
-            hi = arr[i | stride]
-            if neg:
-                arr[i] = hi
-                arr[i | stride] = lo - hi
-            else:
-                arr[i | stride] = hi - lo
-    return ArithPolynomial(p, tuple(arr))
+    return ArithPolynomial(p, tuple(butterfly(tt.bits, p.k)))
 
 
 def inverse_arithmetic_transform(poly: ArithPolynomial) -> tuple[Number, ...]:
     """Value vector of the polynomial on all rows (exact butterfly inverse)."""
-    n = poly.n
-    arr = list(poly.coeffs)
-    k = poly.polarity.k
-    for pos in reversed(range(n)):
-        stride = 1 << pos
-        neg = (k >> pos) & 1
-        for i in range(1 << n):
-            if i & stride:
-                continue
-            a = arr[i]
-            b = arr[i | stride]
-            if neg:
-                arr[i] = a + b
-                arr[i | stride] = a
-            else:
-                arr[i | stride] = a + b
-    return tuple(arr)
+    return tuple(inverse_butterfly(poly.coeffs, poly.polarity.k))
 
 
 def eval_arith(poly: ArithPolynomial, a: Assignment) -> Number:
     """Value of the polynomial at ``a``; 0/1 for canonical polynomials."""
-    if a.n != poly.n:
-        raise ValueError(f"assignment has n={a.n}, polynomial has n={poly.n}")
-    lits = a.row_index ^ poly.polarity.k
-    total: Number = 0
-    for j, c in enumerate(poly.coeffs):
-        if c != 0 and (j & ~lits) == 0:
-            total += c
-    return total
+    return value_at(poly, a)
 
 
 def complement_image(poly: ArithPolynomial) -> ArithPolynomial:
@@ -164,7 +133,7 @@ def best_arith_polarity(
     Ties break toward the lowest polarity integer, mirroring the
     Reed-Muller polarity search.
     """
-    return scan_polarities(tt, criterion, arithmetic_transform, costs.cost_of_arith)
+    return scan_polarities(tt, criterion, arithmetic_transform)
 
 
 def threshold_verify(candidate: ArithPolynomial, tt: TruthTable) -> bool:

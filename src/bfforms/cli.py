@@ -1,8 +1,9 @@
 """Command-line surface: analyze, sweep, sample, convert.
 
-Exit codes: 0 success, 1 usage error, 2 input format error, 3 resource
-guard abort.  Diagnostics go to stderr; data goes to stdout or to the
-files under ``--out``.
+Exit codes: 0 success, 1 usage error, 2 input format or file error (a bad,
+unreadable or non-UTF-8 PLA file, an ``--out`` that cannot be written), 3
+resource guard abort.  Diagnostics go to stderr; data goes to stdout or to
+the files under ``--out``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .analysis import analyze_function, sampled_sweep, sweep
 from .arith import arithmetic_transform, best_arith_polarity
 from .costs import CRITERIA, cost_of_arith, cost_of_rm, cost_of_sop
 from .errors import GuardTimeoutError, PlaFormatError
-from .pla import emit_pla, parse_pla, sop_to_pla, truth_tables
+from .pla import PlaDocument, emit_pla, parse_pla, sop_to_pla, truth_tables
 from .reedmuller import PolarityVector, best_polarity, fprm_transform
 from .reports import SCHEMA_ANALYZE, write_sweep_reports
 from .sop import minimize_sop
@@ -88,6 +89,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_pla(path: str) -> PlaDocument:
+    """Parse the UTF-8 PLA file at ``path``, printing its warnings to stderr."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path} is not UTF-8 text (byte {exc.start})")
+    doc = parse_pla(text)
+    for w in doc.warnings:
+        print(f"warning: {w}", file=sys.stderr)
+    return doc
+
+
 def _load_table(args) -> TruthTable:
     if args.tt is not None:
         text = args.tt.lower().removeprefix("0x")
@@ -99,9 +112,7 @@ def _load_table(args) -> TruthTable:
             return TruthTable.from_index(args.n, index)
         except ValueError as exc:
             raise InputFormatError(str(exc))
-    doc = parse_pla(Path(args.pla).read_text())
-    for w in doc.warnings:
-        print(f"warning: {w}", file=sys.stderr)
+    doc = _read_pla(args.pla)
     if doc.num_inputs != args.n:
         raise InputFormatError(
             f"PLA has {doc.num_inputs} inputs, --n says {args.n}"
@@ -198,9 +209,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    doc = parse_pla(Path(args.pla).read_text())
-    for w in doc.warnings:
-        print(f"warning: {w}", file=sys.stderr)
+    doc = _read_pla(args.pla)
     tables = truth_tables(doc)
     n = doc.num_inputs
     fixed_polarity: PolarityVector | None = None
@@ -251,7 +260,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "convert":
             return _cmd_convert(args)
         raise AssertionError(f"unhandled command {args.command}")
-    except (PlaFormatError, InputFormatError, FileNotFoundError) as exc:
+    except (PlaFormatError, InputFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except GuardTimeoutError as exc:

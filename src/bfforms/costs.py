@@ -64,33 +64,24 @@ def cost_of_sop(sop, n: int | None = None) -> CostVector:
     return from_counts(n, summands, conjunctions, literals, dual_rail=True)
 
 
-def _poly_counts(coeffs) -> tuple[int, int, int]:
+def cost_of_polynomial(poly, n: int | None = None) -> CostVector:
+    """Criteria for a Reed-Muller or arithmetic polynomial (single-rail AND plane).
+
+    Every nonzero coefficient is a summand, so both forms count alike.
+    """
+    if n is None:
+        n = poly.n
+    elif n != poly.n:
+        raise ValueError(f"polynomial has n={poly.n}, got n={n}")
     summands = conjunctions = literals = 0
-    for j, c in enumerate(coeffs):
+    for j, c in enumerate(poly.coeffs):
         if c == 0:
             continue
         summands += 1
         if j:
             conjunctions += 1
             literals += bin(j).count("1")
-    return summands, conjunctions, literals
-
-
-def cost_of_rm(poly, n: int | None = None) -> CostVector:
-    """Criteria for a Reed-Muller polynomial (single-rail AND plane)."""
-    if n is None:
-        n = poly.n
-    elif n != poly.n:
-        raise ValueError(f"polynomial has n={poly.n}, got n={n}")
-    summands, conjunctions, literals = _poly_counts(poly.coeffs)
     return from_counts(n, summands, conjunctions, literals, dual_rail=False)
 
 
-def cost_of_arith(poly, n: int | None = None) -> CostVector:
-    """Criteria for an arithmetic polynomial; counting matches cost_of_rm."""
-    if n is None:
-        n = poly.n
-    elif n != poly.n:
-        raise ValueError(f"polynomial has n={poly.n}, got n={n}")
-    summands, conjunctions, literals = _poly_counts(poly.coeffs)
-    return from_counts(n, summands, conjunctions, literals, dual_rail=False)
+cost_of_rm = cost_of_arith = cost_of_polynomial

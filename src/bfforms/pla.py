@@ -5,7 +5,8 @@ Supported directives: ``.i``, ``.o``, ``.p`` (optional, validated), ``.e``
 lines are accepted and ignored with a warning; any other directive is an
 error.  Cube rows use ``{0,1,-}`` over the inputs (leftmost character is
 x_1) and ``{0,1}`` over the outputs.  ``.i`` must lie in 1..6, the sizes
-the package minimizes, so no document expands past 64 rows.
+the package minimizes, so no document expands past 64 rows, and ``.o`` in
+1..1024, so no document asks for more truth tables than that.
 """
 
 from __future__ import annotations
@@ -13,7 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import PlaFormatError
+from .sop import Cube
 from .truthtable import MAX_N, TruthTable
+
+MAX_OUTPUTS = 1024
 
 
 @dataclass(frozen=True)
@@ -55,6 +59,10 @@ def parse_pla(text: str) -> PlaDocument:
                     )
             elif directive == ".o":
                 num_outputs = intarg(parts, lineno, ".o")
+                if not 1 <= num_outputs <= MAX_OUTPUTS:
+                    raise PlaFormatError(
+                        lineno, f".o {num_outputs} is outside 1..{MAX_OUTPUTS}"
+                    )
             elif directive == ".p":
                 declared = intarg(parts, lineno, ".p")
             elif directive == ".e":
@@ -111,21 +119,7 @@ def truth_tables(doc: PlaDocument) -> list[TruthTable]:
     n = doc.num_inputs
     masks = [0] * doc.num_outputs
     for cube, outs in doc.rows:
-        care = value = 0
-        for i, ch in enumerate(cube):
-            p = n - 1 - i
-            if ch != "-":
-                care |= 1 << p
-                if ch == "1":
-                    value |= 1 << p
-        cover = 0
-        free = ((1 << n) - 1) ^ care
-        sub = 0
-        while True:
-            cover |= 1 << (value | sub)
-            if sub == free:
-                break
-            sub = (sub - free) & free
+        cover = Cube.from_string(n, cube).cover_mask()
         for o, ch in enumerate(outs):
             if ch == "1":
                 masks[o] |= cover

@@ -1,10 +1,16 @@
-"""Fixed-polarity Reed-Muller polynomials over GF(2).
+"""Fixed-polarity Reed-Muller polynomials over GF(2), and the polarity butterfly.
 
 A polarity vector fixes, per variable, whether it may appear only direct
 (bit 0) or only inverted (bit 1).  For every (function, polarity) pair the
-coefficient vector is unique; it is computed by n per-variable butterfly
-passes over GF(2), one positive-Davio step per direct variable and one
-negative-Davio step per inverted variable.
+coefficient vector is unique.  Both polynomial forms come from one integer
+butterfly pair.  :func:`butterfly` reads row ``r ^ k`` as row ``r`` of the
+function of polarity ``k``'s literals and runs n positive-Davio passes over
+the integers, which give the arithmetic coefficients; :func:`inverse_butterfly`
+maps coefficients back to the values on every row.  Reduction mod 2 commutes
+with both, so a Reed-Muller coefficient is the parity of the arithmetic
+coefficient at the same polarity and a Reed-Muller value the parity of the
+integer value (Davio, Deschamps and Thayse, *Discrete and Switching
+Functions*, 1978).
 
 Coefficient index convention: bit ``n - s`` of coefficient index ``j``
 selects variable ``x_s`` into the product term, matching the row-index
@@ -16,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import costs
-from .truthtable import Assignment, TruthTable, _validate_n
+from .truthtable import Assignment, TruthTable, _validate_n, product_string
 
 
 @dataclass(frozen=True)
@@ -50,18 +56,6 @@ class PolarityVector:
         return "".join(str(b) for b in self.bits)
 
 
-def term_string(polarity: PolarityVector, j: int) -> str:
-    """Monomial ``j`` with the literals ``polarity`` fixes; "1" when j = 0."""
-    if j == 0:
-        return "1"
-    n = polarity.n
-    parts = []
-    for i in range(n):
-        if (j >> (n - 1 - i)) & 1:
-            parts.append(("~" if polarity.bits[i] else "") + f"x{i + 1}")
-    return "*".join(parts)
-
-
 @dataclass(frozen=True)
 class RmPolynomial:
     """GF(2) coefficients of a fixed-polarity Reed-Muller polynomial."""
@@ -80,48 +74,59 @@ class RmPolynomial:
         return self.polarity.n
 
     def __str__(self) -> str:
-        active = [term_string(self.polarity, j) for j, a in enumerate(self.coeffs) if a]
+        n, k = self.n, self.polarity.k
+        active = [product_string(n, j, j & ~k) for j, a in enumerate(self.coeffs) if a]
         return " ^ ".join(active) if active else "0"
+
+
+def butterfly(values, k: int) -> list[int]:
+    """Arithmetic coefficients at polarity ``k`` of the 2**n row ``values``."""
+    arr = [values[r ^ k] for r in range(len(values))]
+    _davio_passes(arr, -1)
+    return arr
+
+
+def inverse_butterfly(coeffs, k: int) -> list:
+    """Values on all 2**n rows of ``coeffs`` at polarity ``k``; exact for rationals."""
+    arr = list(coeffs)
+    _davio_passes(arr, 1)
+    return [arr[r ^ k] for r in range(len(arr))]
+
+
+def _davio_passes(arr: list, sign: int) -> None:
+    """Add ``sign`` times each x_s = 0 entry to its x_s = 1 partner, for every s."""
+    stride = 1
+    while stride < len(arr):
+        for i in range(len(arr)):
+            if i & stride:
+                arr[i] += sign * arr[i ^ stride]
+        stride <<= 1
+
+
+def value_at(poly, a: Assignment):
+    """Integer (or rational) value of ``poly`` at ``a``: its inverse-butterfly row."""
+    if a.n != poly.n:
+        raise ValueError(f"assignment has n={a.n}, polynomial has n={poly.n}")
+    return inverse_butterfly(poly.coeffs, poly.polarity.k)[a.row_index]
 
 
 def fprm_transform(tt: TruthTable, p: PolarityVector) -> RmPolynomial:
     """The unique fixed-polarity Reed-Muller polynomial of ``tt`` at ``p``."""
     if p.n != tt.n:
         raise ValueError(f"polarity has n={p.n}, table has n={tt.n}")
-    n = tt.n
-    arr = list(tt.bits)
-    k = p.k
-    for pos in range(n):
-        stride = 1 << pos
-        neg = (k >> pos) & 1
-        for i in range(1 << n):
-            if i & stride:
-                continue
-            lo = arr[i]
-            hi = arr[i | stride]
-            if neg:
-                arr[i] = hi
-            arr[i | stride] = lo ^ hi
-    return RmPolynomial(p, tuple(arr))
+    return RmPolynomial(p, tuple([c & 1 for c in butterfly(tt.bits, p.k)]))
 
 
 def eval_rm(poly: RmPolynomial, a: Assignment) -> int:
     """XOR of the active product terms at assignment ``a``."""
-    if a.n != poly.n:
-        raise ValueError(f"assignment has n={a.n}, polynomial has n={poly.n}")
-    lits = a.row_index ^ poly.polarity.k  # literal values, bitwise
-    acc = 0
-    for j, c in enumerate(poly.coeffs):
-        if c and (j & ~lits) == 0:
-            acc ^= 1
-    return acc
+    return value_at(poly, a) & 1
 
 
-def scan_polarities(tt: TruthTable, criterion: str, transform, cost):
+def scan_polarities(tt: TruthTable, criterion: str, transform):
     """Cheapest ``transform(tt, p)`` under ``criterion`` over all 2**n polarities.
 
-    ``cost`` maps a polynomial to its CostVector.  Ties break toward the
-    lowest polarity integer.  Returns (polarity, polynomial).
+    Ties break toward the lowest polarity integer.  Returns (polarity,
+    polynomial).
 
     Each polarity is transformed from scratch.  The sweep kernels get the
     minimum costs of every polarity from one extended-transform pass
@@ -132,7 +137,7 @@ def scan_polarities(tt: TruthTable, criterion: str, transform, cost):
     if criterion not in costs.CRITERIA:
         raise ValueError(f"unknown criterion {criterion!r}")
     polys = [transform(tt, PolarityVector.from_int(tt.n, k)) for k in range(1 << tt.n)]
-    best = min(polys, key=lambda poly: cost(poly).get(criterion))
+    best = min(polys, key=lambda poly: costs.cost_of_polynomial(poly).get(criterion))
     return best.polarity, best
 
 
@@ -143,7 +148,7 @@ def best_polarity(
 
     Ties break toward the lowest polarity integer.
     """
-    return scan_polarities(tt, criterion, fprm_transform, costs.cost_of_rm)
+    return scan_polarities(tt, criterion, fprm_transform)
 
 
 def fprm_count(n: int) -> int:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from ._kernels_py import _lattice, _least_cost_cover, _prime_ids
 from .errors import GuardTimeoutError
 from .guard import resolve_guard
-from .truthtable import Assignment, TruthTable
+from .truthtable import Assignment, TruthTable, product_string
 
 
 @dataclass(frozen=True)
@@ -105,17 +105,7 @@ class Cube:
         return mask
 
     def __str__(self) -> str:
-        if self.care == 0:
-            return "1"
-        parts = []
-        for i in range(self.n):
-            p = self.n - 1 - i
-            if (self.care >> p) & 1:
-                lit = f"x{i + 1}"
-                if not (self.value >> p) & 1:
-                    lit = "~" + lit
-                parts.append(lit)
-        return "*".join(parts)
+        return product_string(self.n, self.care, self.value)
 
 
 @dataclass(frozen=True)

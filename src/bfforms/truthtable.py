@@ -96,6 +96,22 @@ class TruthTable:
             yield Assignment.from_row_index(self.n, row)
 
 
+def product_string(n: int, care: int, value: int) -> str:
+    """A product term as ``~x1*x3``: the literals ``care`` selects, ``~``
+    where ``value`` clears the bit; "1" for the empty product.
+
+    Bit ``n - s`` of either mask belongs to ``x_s``, as in a row index.
+    """
+    if care == 0:
+        return "1"
+    parts = []
+    for i in range(n):
+        p = n - 1 - i
+        if (care >> p) & 1:
+            parts.append(("" if (value >> p) & 1 else "~") + f"x{i + 1}")
+    return "*".join(parts)
+
+
 def tt_from_index(n: int, index: int) -> TruthTable:
     return TruthTable.from_index(n, index)
 

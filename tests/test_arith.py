@@ -17,7 +17,7 @@ from bfforms.arith import (
     inverse_arithmetic_transform,
     threshold_verify,
 )
-from bfforms.reedmuller import PolarityVector
+from bfforms.reedmuller import PolarityVector, eval_rm, fprm_transform
 from bfforms.truthtable import Assignment, TruthTable
 
 
@@ -207,3 +207,15 @@ def test_arith_reconstructs_random(n, data):
     tt = TruthTable.from_index(n, index)
     poly = arithmetic_transform(tt, P(n, k))
     assert inverse_arithmetic_transform(poly) == tt.bits
+
+
+def test_reed_muller_is_parity_of_arithmetic(l3_tables):
+    # Both forms come from one integer butterfly: reducing mod 2 maps the
+    # arithmetic coefficients, and values, onto the Reed-Muller ones.
+    for tt in l3_tables[::7]:
+        for k in range(8):
+            af = arithmetic_transform(tt, P(3, k))
+            rm = fprm_transform(tt, P(3, k))
+            assert rm.coeffs == tuple(c & 1 for c in af.coeffs)
+            for a in tt.assignments():
+                assert eval_rm(rm, a) == eval_arith(af, a) == tt.evaluate(a)

@@ -89,6 +89,54 @@ def test_input_format_errors_exit_2(tmp_path):
     assert missing.returncode == 2
 
 
+def test_file_errors_exit_2(tmp_path):
+    # An --out that is a file and a --pla that is a directory used to escape
+    # main as FileExistsError and IsADirectoryError.
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    results = [
+        run_cli("sweep", "--n", "2", "--out", str(taken)),
+        run_cli("analyze", "--n", "2", "--pla", str(tmp_path)),
+        run_cli("convert", "--pla", str(tmp_path), "--form", "rm"),
+    ]
+    for result in results:
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.stderr
+
+
+def test_non_utf8_pla_exits_2(tmp_path):
+    pla = tmp_path / "latin1.pla"
+    pla.write_bytes(b".i 2\n.o 1\n# caf\xe9\n11 1\n.e\n")
+    for args in (("analyze", "--n", "2", "--pla", str(pla)),
+                 ("convert", "--pla", str(pla), "--form", "cfr")):
+        result = run_cli(*args)
+        assert result.returncode == 2, result.stderr
+        assert "not UTF-8" in result.stderr
+
+
+def test_pla_output_count_outside_range_exits_2(tmp_path):
+    # .o 0 used to print nothing and exit 0; a huge .o raised MemoryError.
+    for outputs in (0, 10**12):
+        pla = tmp_path / f"o{outputs}.pla"
+        pla.write_text(f".i 2\n.o {outputs}\n.e\n")
+        result = run_cli("convert", "--pla", str(pla), "--form", "cfr")
+        assert result.returncode == 2, result.stderr
+        assert f".o {outputs} is outside 1..1024" in result.stderr
+
+
+def test_nan_guard_exits_1():
+    # On a slow function a NaN guard used to let the search run unbounded;
+    # this one is fast, so the test cannot hang either way.
+    import os
+
+    for text in ("nan", "NaN"):
+        env = dict(os.environ, BFFORMS_GUARD_SECS=text)
+        result = run_cli("analyze", "--n", "2", "--tt", "E", env=env)
+        assert result.returncode == 1, result.stderr
+        assert "BFFORMS_GUARD_SECS is NaN" in result.stderr
+
+
 def test_convert_rejects_input_count_outside_1_to_6(tmp_path):
     # A .i 22 file with one all-dash row used to expand 2**22 rows and ran
     # for minutes; .i 7 exited 1.  Both are input format errors.

@@ -105,6 +105,24 @@ def test_input_count_outside_1_to_6_rejected(inputs):
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("outputs", [0, 1025, 10**12])
+def test_output_count_outside_1_to_1024_rejected(outputs):
+    # Checked at the .o line: .o 0 used to convert to nothing and exit 0,
+    # and a huge .o made truth_tables allocate one mask per output.
+    text = f".i 2\n.o {outputs}\n11 1\n.e\n"
+    with pytest.raises(PlaFormatError) as err:
+        parse_pla(text)
+    assert err.value.line == 2
+    assert f".o {outputs} is outside 1..1024" in str(err.value)
+
+
+def test_output_count_1024_accepted():
+    doc = parse_pla(f".i 1\n.o 1024\n1 {'01' * 512}\n.e\n")
+    tables = truth_tables(doc)
+    assert len(tables) == 1024
+    assert tables[0].bits == (0, 0) and tables[1].bits == (0, 1)
+
+
 def test_missing_terminator():
     with pytest.raises(PlaFormatError):
         parse_pla(".i 2\n.o 1\n11 1\n")

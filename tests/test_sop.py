@@ -14,6 +14,7 @@ from conftest import (
 )
 from bfforms import kernels
 from bfforms.errors import GuardTimeoutError
+from bfforms.guard import ENV_VAR, resolve_guard
 from bfforms.sop import Cube, SopForm, eval_sop, minimize_sop, prime_implicants
 from bfforms.truthtable import Assignment, TruthTable, sample_uniform
 
@@ -173,6 +174,31 @@ def cover_strings_from(cubes) -> list[str]:
 def test_guard_zero_aborts(maj3):
     with pytest.raises(GuardTimeoutError):
         minimize_sop(maj3, guard_s=0.0)
+
+
+@pytest.mark.parametrize("text", ["nan", "NaN", "-nan"])
+def test_nan_guard_rejected(text, maj3, monkeypatch):
+    # A NaN guard passes "guard <= 0" and never trips "now > deadline", so
+    # it would let a slow search run unbounded.  maj3 is fast either way.
+    with pytest.raises(ValueError, match="NaN"):
+        resolve_guard(float(text))
+    with pytest.raises(ValueError, match="NaN"):
+        minimize_sop(maj3, guard_s=float(text))
+    monkeypatch.setenv(ENV_VAR, text)
+    with pytest.raises(ValueError, match=ENV_VAR):
+        resolve_guard()
+    with pytest.raises(ValueError, match="NaN"):
+        minimize_sop(maj3)
+
+
+def test_guard_values_resolve(monkeypatch):
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    assert resolve_guard() == 60.0
+    assert resolve_guard(0.5) == 0.5
+    assert resolve_guard(float("inf")) == float("inf")
+    monkeypatch.setenv(ENV_VAR, "2.5")
+    assert resolve_guard() == 2.5
+    assert resolve_guard(1) == 1.0
 
 
 # n=6 functions on which an earlier exact minimizer ran past its guard.
