@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 input format or file error (a bad,
 unreadable or non-UTF-8 PLA file, an ``--out`` that cannot be written), 3
-resource guard abort.  Diagnostics go to stderr; data goes to stdout or to
-the files under ``--out``.
+resource abort (the time guard tripped, or memory ran out).  Diagnostics go
+to stderr; data goes to stdout or to the files under ``--out``.
 """
 
 from __future__ import annotations
@@ -265,6 +265,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_FORMAT
     except GuardTimeoutError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_GUARD
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_GUARD
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

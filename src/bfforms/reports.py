@@ -10,28 +10,36 @@ produce identical files.
 Every report reads the cost rows of a
 :class:`~bfforms.analysis.SweepRecords`, one tuple of 15 ints per class of
 functions in ``records.csv`` column order, and builds no record object.
-The statistic tables and the summary derive from one
+Each statistic cell is computed once, by its table: :func:`rei_table`,
+:func:`weights_table` and :func:`losses_table` read one
 :class:`~bfforms.analysis.SweepStats`, built by a single pass over the
-class rows; the per-function records table renders each class's row once
-and joins it with the index of every function in the class.
+class rows, and :func:`summary_json` builds every block from their rows.
+The records table renders each class's row once; ``records.csv`` joins it
+with the index of each function in the class ``BLOCK_LINES`` lines at a
+time, so the file is never held whole.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
+from typing import TextIO
 
 from . import reference
-from .analysis import SCENARIOS, SUBSET_LABELS, SweepRecords, SweepStats, aggregate
+from .analysis import SCENARIOS, SweepRecords, SweepStats, aggregate
 from .costs import CRITERIA
 
 SCHEMA_SWEEP = "bfforms.sweep-report/1"
 SCHEMA_ANALYZE = "bfforms.analyze/1"
 
 REI_VARIANTS = ("literal", "normalized")
+BLOCK_LINES = 4096  # CSV lines rendered and written per file write
 
 
 def format_rational(value: int | Fraction, places: int = 3) -> str:
@@ -57,6 +65,8 @@ def _cell(value, places: int) -> str:
         return str(value)
     if isinstance(value, Fraction):
         return format_rational(value, places)
+    if isinstance(value, float):
+        return f"{value:.6f}"
     text = str(value)
     if "," in text or '"' in text or "\n" in text:
         text = '"' + text.replace('"', '""') + '"'
@@ -65,19 +75,34 @@ def _cell(value, places: int) -> str:
 
 @dataclass(frozen=True)
 class ReportTable:
-    """A titled table of exact rationals/integers/strings."""
+    """A titled table of exact rationals/integers/floats/strings.
+
+    Its rows are tuples of cells, or all lines its builder already rendered;
+    the records table yields such lines lazily, to be read once.
+    """
 
     title: str
     headers: tuple[str, ...]
-    rows: tuple[tuple, ...]
+    rows: Iterable[tuple | str]
+
+    def _line(self, row: tuple, places: int) -> str:
+        if len(row) != len(self.headers):
+            raise ValueError("row width does not match headers")
+        return ",".join([_cell(v, places) for v in row])
+
+    def write_csv(self, file: TextIO, places: int) -> None:
+        """Write the header line, then the rows a block of lines at a time."""
+        file.write(",".join(self.headers) + "\n")
+        rows = iter(self.rows)
+        while block := list(islice(rows, BLOCK_LINES)):
+            if not isinstance(block[0], str):
+                block = [self._line(row, places) for row in block]
+            file.write("\n".join(block) + "\n")
 
     def render_csv(self, places: int = 3) -> str:
-        lines = [",".join(self.headers)]
-        for row in self.rows:
-            if len(row) != len(self.headers):
-                raise ValueError("row width does not match headers")
-            lines.append(",".join(_cell(v, places) for v in row))
-        return "\n".join(lines) + "\n"
+        text = io.StringIO()
+        self.write_csv(text, places)
+        return text.getvalue()
 
 
 def _rational_json(value: Fraction) -> dict:
@@ -90,18 +115,13 @@ def _rational_json(value: Fraction) -> dict:
 
 
 def rei_table(stats: SweepStats) -> ReportTable:
-    rows = []
-    for variant in REI_VARIANTS:
-        for form in ("cfr", "afr", "rm", "ofr"):
-            cells: list = [variant, form]
-            for criterion in CRITERIA:
-                cells.append(stats.rei(form, criterion, variant).eta)
-            rows.append(tuple(cells))
-    return ReportTable(
-        title="relative efficiency index",
-        headers=("variant", "form") + CRITERIA,
-        rows=tuple(rows),
+    rows = tuple(
+        (variant, form) + tuple(stats.rei(form, c, variant).eta for c in CRITERIA)
+        for variant in REI_VARIANTS
+        for form in ("cfr", "afr", "rm", "ofr")
     )
+    headers = ("variant", "form") + CRITERIA
+    return ReportTable("relative efficiency index", headers, rows)
 
 
 def weight_stderr(weight: Fraction, n_max: int) -> float:
@@ -114,12 +134,9 @@ def weights_table(stats: SweepStats, sampled: bool) -> ReportTable:
     headers = ("criterion", "label", "weight") + (("stderr",) if sampled else ())
     rows = []
     for criterion in CRITERIA:
-        weights = stats.specific_weights(criterion)
-        for label in SUBSET_LABELS:
-            row: list = [criterion, label, weights[label]]
-            if sampled:
-                row.append(f"{weight_stderr(weights[label], stats.n_max):.6f}")
-            rows.append(tuple(row))
+        for label, weight in stats.specific_weights(criterion).items():
+            stderr = (weight_stderr(weight, stats.n_max),) if sampled else ()
+            rows.append((criterion, label, weight) + stderr)
     return ReportTable(
         title="specific weights of priority subsets",
         headers=headers,
@@ -156,24 +173,12 @@ def losses_table(stats: SweepStats) -> ReportTable:
     )
 
 
-@dataclass(frozen=True)
-class RenderedTable:
-    """A table whose rows are rendered when it is built (integer cells only)."""
-
-    title: str
-    headers: tuple[str, ...]
-    body: str
-
-    def render_csv(self, places: int = 3) -> str:
-        return ",".join(self.headers) + "\n" + self.body
-
-
-def records_table(records) -> RenderedTable:
+def records_table(records) -> ReportTable:
     """One row per function: its index, then 5 cost cells per form.
 
     The cost cells are a class's cost row, already in column order, so
-    each class's row is rendered once and joined with the index of every
-    function in it.
+    each class's row is rendered once and each function's line joins it
+    with the function's index as the table is written.
     """
     recs = SweepRecords.of(records)
     headers = ["index"]
@@ -181,74 +186,55 @@ def records_table(records) -> RenderedTable:
         headers.extend(f"{form}_{c}" for c in CRITERIA)
     cell_format = ",".join(["%s"] * (len(headers) - 1))
     cells = [cell_format % row for row in recs.class_rows]
-    body = "".join(f"{i},{cells[c]}\n" for i, c in zip(recs.indices, recs.class_of))
-    return RenderedTable(title="per-function records", headers=tuple(headers), body=body)
+    lines = (f"{i},{cells[c]}" for i, c in zip(recs.indices, recs.class_of))
+    return ReportTable(title="per-function records", headers=tuple(headers), rows=lines)
 
 
-def summary_json(
-    stats: SweepStats,
-    n: int,
-    sampled: dict | None = None,
-) -> dict:
-    """Everything the CSV tables carry, as exact rationals, plus metadata."""
+def summary_json(stats: SweepStats, n: int, sampled: dict | None = None) -> dict:
+    """Everything the CSV tables carry, as exact rationals, plus metadata.
+
+    Every block is read from the rows of the three statistic tables.
+    ``sampled`` is None for a sweep; any dict, even ``{}``, is a sample's.
+    """
+    rei = rei_table(stats)
+    criteria = rei.headers[2:]
+    # Literal rows, then normalized ones in the same form order.  Literal eta
+    # is T / (N s_mm), normalized T / (N (s_mm + 1)) (SweepStats.rei), so
+    # s_mm = normalized / (literal - normalized), exactly.
+    half = len(rei.rows) // 2
+    s_mm = [int(b / (a - b)) for a, b in zip(rei.rows[0][2:], rei.rows[half][2:])]
     rei_block: dict = {}
-    for variant in REI_VARIANTS:
-        rei_block[variant] = {}
-        for form in ("cfr", "afr", "rm", "ofr"):
-            per_form = {}
-            for criterion in CRITERIA:
-                result = stats.rei(form, criterion, variant)
-                per_form[criterion] = dict(
-                    _rational_json(result.eta), s_mm=result.s_mm
-                )
-            rei_block[variant][form] = per_form
-
-    weights_block: dict = {}
-    for criterion in CRITERIA:
-        weights = stats.specific_weights(criterion)
-        weights_block[criterion] = {
-            label: dict(
-                _rational_json(weights[label]),
-                **(
-                    {"stderr": round(weight_stderr(weights[label], stats.n_max), 8)}
-                    if sampled
-                    else {}
-                ),
-            )
-            for label in SUBSET_LABELS
+    for variant, form, *etas in rei.rows:
+        rei_block.setdefault(variant, {})[form] = {
+            c: dict(_rational_json(eta), s_mm=m)
+            for c, eta, m in zip(criteria, etas, s_mm)
         }
+    computed_rei = {row[1]: dict(zip(criteria, row[2:])) for row in rei.rows[:half]}
+
+    weights = weights_table(stats, sampled is not None)
+    weights_block: dict = {}
+    for criterion, label, weight, *stderr in weights.rows:
+        cell = _rational_json(weight)
+        if stderr:
+            cell["stderr"] = round(stderr[0], 8)
+        weights_block.setdefault(criterion, {})[label] = cell
 
     losses_block: dict = {}
     computed_losses: dict = {}
-    for criterion in ("s_ad", "s_s"):
-        losses_block[criterion] = {}
-        computed_losses[criterion] = {}
-        for scenario in SCENARIOS:
-            loss = stats.q_aggregate(scenario, criterion)
-            losses_block[criterion][scenario] = {
-                "q": loss.q,
-                "absolute_benefit": loss.absolute_benefit,
-                "percent_of_cfr": _rational_json(loss.percent_of_cfr),
-                "percent_of_scenario": _rational_json(loss.percent_of_scenario),
-            }
-            computed_losses[criterion][scenario] = (loss.q, loss.absolute_benefit)
-
-    computed_rei = {
-        form: {
-            criterion: stats.rei(form, criterion, "literal").eta
-            for criterion in CRITERIA
+    losses = losses_table(stats)
+    for criterion, scenario, q, benefit, pct_cfr, pct_scenario in losses.rows:
+        losses_block.setdefault(criterion, {})[scenario] = {
+            "q": q,
+            "absolute_benefit": benefit,
+            "percent_of_cfr": _rational_json(pct_cfr),
+            "percent_of_scenario": _rational_json(pct_scenario),
         }
-        for form in ("cfr", "afr", "rm", "ofr")
-    }
+        computed_losses.setdefault(criterion, {})[scenario] = (q, benefit)
 
-    meta: dict = {"n": n, "record_count": stats.n_max, "sampled": bool(sampled)}
-    if sampled:
+    meta: dict = {"n": n, "record_count": stats.n_max, "sampled": sampled is not None}
+    if sampled is not None:
         meta.update(sampled)
-        max_se = max(
-            weight_stderr(stats.specific_weights(c)[label], stats.n_max)
-            for c in CRITERIA
-            for label in SUBSET_LABELS
-        )
+        max_se = max(row[3] for row in weights.rows)
         meta["max_weight_stderr"] = round(max_se, 8)
         meta["max_weight_ci95_halfwidth"] = round(1.96 * max_se, 8)
     meta["max_min_afr_summands"] = stats.maxima["afr", "s_ad"]
@@ -281,7 +267,8 @@ def write_sweep_reports(
     """Write records/rei/weights/losses CSVs and summary.json; return paths.
 
     ``records`` is a :class:`~bfforms.analysis.SweepRecords` or any
-    sequence of :class:`~bfforms.analysis.SweepRecord`.
+    sequence of :class:`~bfforms.analysis.SweepRecord`.  ``sampled`` is
+    None for an exhaustive sweep, else the sample's metadata.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -296,7 +283,8 @@ def write_sweep_reports(
     }
     for name, table in tables.items():
         path = out / name
-        path.write_text(table.render_csv(), encoding="ascii", newline="\n")
+        with path.open("w", encoding="ascii", newline="\n") as file:
+            table.write_csv(file, places=3)
         written.append(path)
     summary = summary_json(stats, n, sampled)
     path = out / "summary.json"

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -225,3 +227,29 @@ def test_pla_warnings_on_stderr():
     assert result.returncode == 0
     assert "labels ignored" in result.stderr
     assert "labels ignored" not in result.stdout
+
+
+@pytest.mark.parametrize("pure, jobs", [("0", "1"), ("1", "2")])
+def test_out_of_memory_exits_3(tmp_path, pure, jobs):
+    # 10**8 draws do not fit under a 150 MB address-space limit, set on the
+    # child process only; the MemoryError used to escape with a traceback.
+    import os
+    import resource
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (150 * 2**20, 150 * 2**20))
+
+    env = dict(os.environ)
+    if pure == "1":
+        env["BFFORMS_PURE"] = "1"
+    else:
+        env.pop("BFFORMS_PURE", None)
+    argv = ["sample", "--n", "3", "--count", "100000000", "--seed", "1",
+            "--jobs", jobs, "--out", str(tmp_path / "out")]
+    result = subprocess.run(
+        [sys.executable, "-m", "bfforms", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=limit_memory,
+    )
+    assert result.returncode == 3, result.stderr
+    assert result.stderr == "error: out of memory\n"

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -165,3 +166,62 @@ def test_reports_build_no_record_objects(monkeypatch, tmp_path):
     assert built == []
     assert sweep(2)[0].cost_cfr.s_ad == 0
     assert sorted(set(built)) == ["CostVector", "SweepRecord"]
+
+
+def test_empty_sampled_dict_marks_a_sample(tmp_path):
+    # None means an exhaustive sweep; any dict, even an empty one, a sample.
+    write_sweep_reports(sweep(2), 2, tmp_path, sampled={})
+    header = (tmp_path / "weights.csv").read_text().splitlines()[0]
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert header == "criterion,label,weight,stderr"
+    assert summary["meta"]["sampled"] is True
+    assert "max_weight_stderr" in summary["meta"]
+    assert all("stderr" in cell for cell in summary["weights"]["s_ad"].values())
+
+
+def test_write_sweep_reports_memory_peak(tmp_path):
+    # records.csv is written a block of lines at a time, never held whole
+    # (65,537 lines at n=4; the whole file as one string peaked at 9 MB).
+    records = sweep(4)
+    write_sweep_reports(records, 4, tmp_path)
+    tracemalloc.start()
+    try:
+        write_sweep_reports(records, 4, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
+def _csv_rows(path):
+    return [line.split(",") for line in path.read_text().splitlines()[1:]]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep", "--n", str(n)] for n in (1, 2, 3)]
+    + [["sample", "--n", "5", "--count", "512", "--seed", "7"]],
+    ids=lambda argv: "".join(argv[:3]),
+)
+def test_csv_cells_match_summary(tmp_path, argv):
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    rei = _csv_rows(tmp_path / "rei.csv")
+    for variant, form, *cells in rei:
+        json_cells = summary["rei"][variant][form]
+        assert cells == [json_cells[c]["decimal"] for c in CRITERIA]
+    assert len(rei) == sum(len(forms) for forms in summary["rei"].values())
+    weights = _csv_rows(tmp_path / "weights.csv")
+    for criterion, label, weight, *stderr in weights:
+        cell = summary["weights"][criterion][label]
+        assert weight == cell["decimal"]
+        assert stderr == ([f"{cell['stderr']:.6f}"] if "stderr" in cell else [])
+    assert len(weights) == sum(len(labels) for labels in summary["weights"].values())
+    losses = _csv_rows(tmp_path / "losses.csv")
+    for criterion, scenario, q, benefit, pct_cfr, pct_scenario in losses:
+        cell = summary["losses"][criterion][scenario]
+        assert [q, benefit] == [str(cell["q"]), str(cell["absolute_benefit"])]
+        assert pct_cfr == cell["percent_of_cfr"]["decimal"]
+        assert pct_scenario == cell["percent_of_scenario"]["decimal"]
+    assert len(losses) == sum(len(s) for s in summary["losses"].values())
+    assert summary["meta"]["sampled"] is (argv[0] == "sample")
