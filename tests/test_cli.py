@@ -232,7 +232,7 @@ def test_pla_warnings_on_stderr():
 @pytest.mark.parametrize("pure, jobs", [("0", "1"), ("1", "2")])
 def test_out_of_memory_exits_3(tmp_path, pure, jobs):
     # 10**8 draws do not fit under a 150 MB address-space limit, set on the
-    # child process only; the MemoryError used to escape with a traceback.
+    # child process only: an error line and exit 3, not a traceback.
     import os
     import resource
 

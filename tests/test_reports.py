@@ -181,7 +181,7 @@ def test_empty_sampled_dict_marks_a_sample(tmp_path):
 
 def test_write_sweep_reports_memory_peak(tmp_path):
     # records.csv is written a block of lines at a time, never held whole
-    # (65,537 lines at n=4; the whole file as one string peaked at 9 MB).
+    # (65,537 lines, about 2.9 MB of text at n=4).
     records = sweep(4)
     write_sweep_reports(records, 4, tmp_path)
     tracemalloc.start()
