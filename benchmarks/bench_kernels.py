@@ -125,7 +125,7 @@ def main():
         else:
             print("  (compiled backend not built: python setup.py build_ext --inplace)")
     for n in (3, 4):
-        npclasses._CLASS_CACHE.pop(n, None)
+        npclasses.np_classes.cache_clear()
         start = time.perf_counter()
         classes = npclasses.np_classes(n)
         elapsed = time.perf_counter() - start

@@ -74,13 +74,6 @@ def analyze_counts(n: int, index: int, guard_s: float = 60.0) -> tuple[int, ...]
     return analyze_batch(n, [index], guard_s)[0]
 
 
-def sweep_counts(
-    n: int, start: int, stop: int, guard_s: float = 60.0
-) -> list[tuple[int, ...]]:
-    """analyze_counts over a contiguous index range."""
-    return analyze_batch(n, range(start, stop), guard_s)
-
-
 def min_sop_counts(n: int, on: int, guard_s: float = 60.0) -> tuple[int, int]:
     """(terms, literals) of the exact minimum SOP cover of the ``on`` mask."""
     terms, _, literals = analyze_counts(n, on, guard_s)[:3]

@@ -10,9 +10,9 @@ Truth tables are plain integers, bit ``x`` = value on row ``x``.
 The SOP side has two front ends, which find the same primes among the
 3**n ternary cubes, both with the cube ids of ``_lattice``.  One function
 at a time (``min_sop_counts``, ``analyze_counts``, ``sop.minimize_sop``),
-``_prime_ids`` marks the implicants in one integer with two bits per
-variable, so each filtering step is a shift and a mask over all cubes at
-once.
+``_prime_ids`` marks the implicants in one integer with one bit per
+lattice id, so each filtering step is a shift by a power of 3 and a mask
+over all cubes at once.
 
 ``analyze_batch``, the path of ``bfforms sweep`` and ``sample``, works on
 the whole batch in bit planes (``_sop_planes``): one integer per row or
@@ -68,7 +68,8 @@ the fold only adds, so no field overflows either.
 from __future__ import annotations
 
 import time
-from typing import Sequence
+from functools import cache
+from typing import NamedTuple, Sequence
 
 from . import _sop_planes
 from .errors import GuardTimeoutError
@@ -78,9 +79,6 @@ BACKEND = "pure"
 # Functions per lane-parallel polarity pass.  Past 64 lanes the pass gets
 # no faster per function, while its integers keep growing.
 _LANES = 64
-
-_LATTICE_CACHE: dict[int, tuple] = {}
-_IMPLICANT_CACHE: dict[int, tuple] = {}
 
 # Per lane: the count fields of both forms, and the bias as low byte.
 _COUNTS = 0xFF | 0xFF << 16
@@ -95,89 +93,49 @@ _TERM = 1 << 10
 _SEEN_LIMIT = 1 << 16
 
 
-def _lattice(n: int):
+class Lattice(NamedTuple):
     """Static tables over the 3**n ternary cubes of n variables.
 
-    Cube id digits (base 3, digit p for row-bit position p):
-    0 = variable absent, 1 = negative literal, 2 = positive literal.
-    Returns (covers, literal_counts, full_row_mask).
+    Cube id digits (base 3, digit p of weight 3**p for row-bit position p):
+    0 = variable absent, 1 = negative literal, 2 = positive literal.  Per
+    cube id: ``covers`` its rows and ``lits`` its literal count.  ``full``
+    is the mask of all 2**n rows and ``minterm[x]`` the id of the cube of
+    row x alone.  Per variable p, ``absent[p]`` and ``literal[p]`` are the
+    bit masks of the ids whose digit p is 0 and is not 0.
     """
-    cached = _LATTICE_CACHE.get(n)
-    if cached is not None:
-        return cached
-    rows = 1 << n
-    full = (1 << rows) - 1
-    pat0 = []
-    for p in range(n):
-        m = 0
-        for x in range(rows):
-            if not (x >> p) & 1:
-                m |= 1 << x
-        pat0.append(m)
-    size = 3**n
-    covers = [0] * size
-    lits = [0] * size
-    for c in range(size):
-        mask = full
-        lc = 0
-        d = c
-        for p in range(n):
-            digit = d % 3
-            d //= 3
-            if digit == 1:
-                mask &= pat0[p]
-                lc += 1
-            elif digit == 2:
-                mask &= full ^ pat0[p]
-                lc += 1
-        covers[c] = mask
-        lits[c] = lc
-    result = (covers, lits, full)
-    _LATTICE_CACHE[n] = result
-    return result
+
+    covers: list[int]
+    lits: list[int]
+    full: int
+    minterm: list[int]
+    absent: list[int]
+    literal: list[int]
 
 
-def _spread(n: int, x: int) -> int:
-    """Bit p of ``x`` moved to bit 2p."""
-    return sum(((x >> p) & 1) << 2 * p for p in range(n))
+@cache
+def _lattice(n: int) -> Lattice:
+    """The cube tables of n variables, computed once per n.
 
-
-def _implicant_tables(n: int):
-    """Static tables for the packed implicant vector of n variables.
-
-    A cube sits at bit position sum(digit_p * 4**p) of one integer, with
-    the lattice digits (0 absent, 1 negative, 2 positive; 3 is unused), so
-    positions ascend in lattice-id order.  Returns (byte_bits, offsets,
-    zeros, ids): the minterm bits of each byte value of rows 8q..8q+7,
-    placed by shifting by offsets[q]; per variable p, the positions whose
-    digit p is 0; and the lattice id at each position.
+    Each variable triples the cubes built so far, as absent, negative and
+    positive; so does every id mask.
     """
-    cached = _IMPLICANT_CACHE.get(n)
-    if cached is not None:
-        return cached
-    size = 4**n
-    byte_bits = [
-        sum(1 << _spread(n, j) for j in range(8) if b >> j & 1) for b in range(256)
-    ]
-    # Minterm x is the cube with digit 1 + x_p at every p.
-    lift = (size - 1) // 3
-    offsets = [_spread(n, 8 * q) + lift for q in range(max(1, (1 << n) // 8))]
-    zeros = []
+    full = (1 << (1 << n)) - 1
+    covers = [full]
+    lits = [0]
+    minterm = [0]
+    absent: list[int] = []
+    size = 1
     for p in range(n):
-        z = 0
-        for q in range(size):
-            if not (q >> 2 * p) & 3:
-                z |= 1 << q
-        zeros.append(z)
-    ids = [0] * size
-    for q in range(size):
-        c = 0
-        for p in reversed(range(n)):
-            c = 3 * c + ((q >> 2 * p) & 3)
-        ids[q] = c
-    result = (byte_bits, offsets, zeros, ids)
-    _IMPLICANT_CACHE[n] = result
-    return result
+        # Rows with x_p = 0: runs of 2**p ones every 2**(p+1) rows.
+        zero = full // ((1 << (1 << p)) + 1)
+        covers += [c & zero for c in covers] + [c & ~zero for c in covers]
+        lits += [lit + 1 for lit in lits] * 2
+        minterm = [c + size for c in minterm] + [c + 2 * size for c in minterm]
+        absent = [m | m << size | m << 2 * size for m in absent]
+        absent.append((1 << size) - 1)
+        size *= 3
+    ids = (1 << size) - 1
+    return Lattice(covers, lits, full, minterm, absent, [ids ^ m for m in absent])
 
 
 def _prime_ids(n: int, on: int) -> list[int]:
@@ -186,28 +144,28 @@ def _prime_ids(n: int, on: int) -> list[int]:
     A cube is prime when it is an implicant (covers no off-set row) and
     none of its parents (the cubes with one literal fewer) is one.
     """
-    byte_bits, offsets, zeros, ids = _implicant_tables(n)
+    lat = _lattice(n)
     imp = 0
-    for b, off in zip(on.to_bytes(len(offsets), "little"), offsets):
-        if b:
-            imp |= byte_bits[b] << off
+    for c, bit in zip(lat.minterm, bin(on)[:1:-1]):
+        if bit == "1":
+            imp |= 1 << c
     # Digit p of a cube is 0 where both its digit-1 and digit-2 children
     # are implicants; after pass p that holds for digits 0..p.
-    for p, z in enumerate(zeros):
-        step = 1 << 2 * p
+    for p, z in enumerate(lat.absent):
+        step = 3**p
         imp |= imp >> step & imp >> 2 * step & z
     # Mark each implicant's children: they have an implicant parent.
     has_parent = 0
-    for p, z in enumerate(zeros):
-        step = 1 << 2 * p
+    for p, z in enumerate(lat.absent):
+        step = 3**p
         top = imp & z
         has_parent |= top << step | top << 2 * step
     bits = bin(imp & ~has_parent)[:1:-1]
     primes = []
-    i = bits.find("1")
-    while i >= 0:
-        primes.append(ids[i])
-        i = bits.find("1", i + 1)
+    c = bits.find("1")
+    while c >= 0:
+        primes.append(c)
+        c = bits.find("1", c + 1)
     return primes
 
 
@@ -365,17 +323,17 @@ def _min_cover(
 
 def min_sop_counts(n: int, on: int, guard_s: float = 60.0) -> tuple[int, int]:
     """(terms, literals) of the exact minimum SOP cover of the ``on`` mask."""
-    covers, lits, full = _lattice(n)
+    lat = _lattice(n)
     if on == 0:
         return (0, 0)
-    if on == full:
+    if on == lat.full:
         return (1, 0)
     if guard_s <= 0:
         raise GuardTimeoutError("SOP count minimization exceeded its time guard")
     deadline = time.monotonic() + guard_s
     primes = _prime_ids(n, on)
     return _min_cover(
-        [covers[c] for c in primes], [lits[c] for c in primes], on, deadline
+        [lat.covers[c] for c in primes], [lat.lits[c] for c in primes], on, deadline
     )
 
 
@@ -466,13 +424,6 @@ def analyze_counts(n: int, index: int, guard_s: float = 60.0) -> tuple[int, ...]
     return (terms, conj, literals) + polarity_minima(n, index)
 
 
-def sweep_counts(
-    n: int, start: int, stop: int, guard_s: float = 60.0
-) -> list[tuple[int, ...]]:
-    """analyze_counts over a contiguous index range."""
-    return analyze_batch(n, range(start, stop), guard_s)
-
-
 def analyze_batch(
     n: int, indices: Sequence[int], guard_s: float = 60.0
 ) -> list[tuple[int, ...]]:
@@ -484,18 +435,17 @@ def analyze_batch(
     leave rows uncovered gets a cover search of its own, under its own
     ``guard_s`` deadline.
     """
-    full = (1 << (1 << n)) - 1
-    if guard_s <= 0 and any(0 < index < full for index in indices):
+    lat = _lattice(n)
+    if guard_s <= 0 and any(0 < index < lat.full for index in indices):
         raise GuardTimeoutError("SOP count minimization exceeded its time guard")
-    covers, lits, _ = _lattice(n)
-    lit_masks = _sop_planes.literal_masks(n)
-    cands = list(zip(covers, [_TERM + lit for lit in lits], range(len(covers))))
+    costs = [_TERM + lit for lit in lat.lits]
+    cands = list(zip(lat.covers, costs, range(len(costs))))
     out = []
     for index, (essential, resid, uncov), minima in zip(
         indices, _sop_planes.front_end(n, indices), polarity_minima_batch(n, indices)
     ):
         cost = _TERM * essential.bit_count()
-        cost += sum((essential & m).bit_count() for m in lit_masks)
+        cost += sum((essential & m).bit_count() for m in lat.literal)
         if uncov:
             cand = []
             while resid:
@@ -504,6 +454,6 @@ def analyze_batch(
                 cand.append(cands[low.bit_length() - 1])
             cost += _least_cost_cover(cand, uncov, time.monotonic() + guard_s)[0]
         terms, literals = divmod(cost, _TERM)
-        conj = terms - 1 if index == full else terms
+        conj = terms - 1 if index == lat.full else terms
         out.append((terms, conj, literals) + minima)
     return out

@@ -13,8 +13,6 @@ from __future__ import annotations
 from operator import and_, or_
 from typing import Iterator, Sequence
 
-_LITERAL_CACHE: dict[int, list[int]] = {}
-
 
 def _repeat(pattern: int, period: int, width: int) -> int:
     """``pattern`` (``period`` bits) repeated to fill ``width`` bits."""
@@ -89,15 +87,6 @@ def _down(v: list[int], n: int) -> list[int]:
         w[1::2] = map(or_, v[2 * t :], top)
         v = w
     return v
-
-
-def literal_masks(n: int) -> list[int]:
-    """Per variable p, the bit mask of the cube ids with a literal in x_p."""
-    masks = _LITERAL_CACHE.get(n)
-    if masks is None:
-        masks = [sum(1 << c for c in range(3**n) if c // 3**p % 3) for p in range(n)]
-        _LITERAL_CACHE[n] = masks
-    return masks
 
 
 def _primes(imp: list[int], n: int) -> list[int]:

@@ -52,7 +52,7 @@ def sweep_counts(
     _check(n)
     if not 0 <= start <= stop <= 1 << (1 << n):
         raise ValueError(f"index range [{start}, {stop}) out of range for n={n}")
-    return _impl.sweep_counts(n, start, stop, guard_s)
+    return _impl.analyze_batch(n, range(start, stop), guard_s)
 
 
 def polarity_minima(n: int, mask: int) -> tuple[int, ...]:

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from functools import cache
 
-_CLASS_CACHE: dict[int, NpClasses] = {}
 _UNSEEN = 0xFFFF
 
 
@@ -68,11 +68,9 @@ def _byte_tables(n: int, row_map: list[int]) -> tuple[list[int], list[int]]:
     return tables[0], tables[1]
 
 
+@cache
 def np_classes(n: int) -> NpClasses:
     """The NP classes of n variables, computed once per n (1 <= n <= 4)."""
-    cached = _CLASS_CACHE.get(n)
-    if cached is not None:
-        return cached
     if not 1 <= n <= 4:
         raise ValueError(f"NP classes are enumerated for n in 1..4, got {n}")
     tables = [_byte_tables(n, m) for m in _generator_rows(n)]
@@ -99,6 +97,4 @@ def np_classes(n: int) -> NpClasses:
                     stack.append(g)
                     size += 1
         sizes.append(size)
-    result = NpClasses(class_of, tuple(representatives), tuple(sizes))
-    _CLASS_CACHE[n] = result
-    return result
+    return NpClasses(class_of, tuple(representatives), tuple(sizes))

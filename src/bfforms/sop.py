@@ -187,15 +187,15 @@ def minimize_sop(tt: TruthTable, guard_s: float | None = None) -> SopForm:
         raise GuardTimeoutError("SOP minimization exceeded its time guard")
     deadline = time.monotonic() + guard
 
-    covers, lits, _ = _lattice(n)
+    lat = _lattice(n)
     primes = _prime_ids(n, on)
     count = len(primes)
     s2 = count + 7
     s1 = s2 + 9
     costs = [
-        (1 << s1) + (lits[c] << s2) + (1 << count) - (1 << (count - 1 - r))
+        (1 << s1) + (lat.lits[c] << s2) + (1 << count) - (1 << (count - 1 - r))
         for r, c in enumerate(primes)
     ]
-    cand = list(zip([covers[c] for c in primes], costs, range(count)))
+    cand = list(zip([lat.covers[c] for c in primes], costs, range(count)))
     _, chosen = _least_cost_cover(cand, on, deadline)
     return SopForm(n, tuple(_cube(n, primes[i]) for i in sorted(chosen)))

@@ -202,7 +202,7 @@ def brute_front_end(n: int, on: int) -> tuple[int, int, int]:
 
     A cube's id is the position of its row mask among the lattice covers.
     """
-    covers = pure._lattice(n)[0]
+    covers = pure._lattice(n).covers
     masks = [cube_mask(c, n) for c in oracle_primes(n, on)]
     primes = {covers.index(m): m for m in masks}
     essential = covered = 0
@@ -219,6 +219,35 @@ def brute_front_end(n: int, on: int) -> tuple[int, int, int]:
         1 << c for c, rows in primes.items() if rows & uncovered and not essential >> c & 1
     )
     return essential, residual, uncovered
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_lattice_matches_base3_digits(n):
+    # Every table of the tripling build, against one made digit by digit:
+    # digit p of id c is c // 3**p % 3, and row x has x_p = digit - 1.
+    lat = pure._lattice(n)
+    ids = range(3**n)
+    rows = range(1 << n)
+    digits = [[c // 3**p % 3 for p in range(n)] for c in ids]
+    assert lat.full == (1 << (1 << n)) - 1
+    assert lat.covers == [
+        sum(
+            1 << x
+            for x in rows
+            if all(not d or x >> p & 1 == d - 1 for p, d in enumerate(ds))
+        )
+        for ds in digits
+    ]
+    assert lat.lits == [sum(map(bool, ds)) for ds in digits]
+    assert lat.minterm == [
+        sum((1 + (x >> p & 1)) * 3**p for p in range(n)) for x in rows
+    ]
+    assert lat.absent == [
+        sum(1 << c for c in ids if digits[c][p] == 0) for p in range(n)
+    ]
+    assert lat.literal == [
+        sum(1 << c for c in ids if digits[c][p]) for p in range(n)
+    ]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -270,11 +299,11 @@ def plain_search_cases():
     """(n, index, plain_min_cover result) for seeded n=5 and n=6 draws."""
     cases = []
     for n, count, seed in ((5, 300, 515), (6, 60, 616)):
-        covers, lits, _ = pure._lattice(n)
+        lat = pure._lattice(n)
         for index in sample_uniform(n, count, seed):
             primes = pure._prime_ids(n, index)
             expected = plain_min_cover(
-                [covers[c] for c in primes], [lits[c] for c in primes], index
+                [lat.covers[c] for c in primes], [lat.lits[c] for c in primes], index
             )
             cases.append((n, index, expected))
     return cases
@@ -398,7 +427,6 @@ def test_batch_paths_agree_with_one_lane():
     assert [c[3:] for c in counts] == [pure.polarity_minima(4, i) for i in draws]
     assert pure.polarity_minima_batch(4, []) == []
     assert pure.analyze_batch(4, [], 60.0) == []
-    assert pure.sweep_counts(4, 7, 7, 60.0) == []
 
 
 @needs_compiled
@@ -413,9 +441,13 @@ def test_backends_agree_l3_and_samples():
 
 
 @pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
-def test_sweep_counts_equals_pointwise(impl):
-    block = impl.sweep_counts(3, 100, 140, 60.0)
+def test_sweep_counts_equals_pointwise(impl, monkeypatch):
+    from bfforms import kernels
+
+    monkeypatch.setattr(kernels, "_impl", impl)
+    block = kernels.sweep_counts(3, 100, 140, 60.0)
     assert block == [impl.analyze_counts(3, i, 60.0) for i in range(100, 140)]
+    assert kernels.sweep_counts(4, 7, 7, 60.0) == []
 
 
 @pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)

@@ -121,7 +121,8 @@ def test_prime_implicants_match_oracle_all_l3(l3_tables):
 
 @pytest.mark.parametrize("n, count", [(4, 40), (5, 12), (6, 4)])
 def test_prime_implicants_match_oracle_seeded(n, count):
-    # Past n=3 the on-set spans several bytes of the packed prime filter.
+    # Past n=3 the on-set has more rows than a byte, and at n=6 the prime
+    # filter's implicant vector spans all 729 lattice ids.
     full = (1 << (1 << n)) - 1
     extremes = [full, 1, 1 << full.bit_length() - 1]
     for index in extremes + sample_uniform(n, count, seed=n):
