@@ -26,12 +26,16 @@ Usage:
 """
 
 import argparse
+import sys
 import time
+from pathlib import Path
 
-from bfforms import _kernels_py, _sop_planes, npclasses
-from bfforms.errors import GuardTimeoutError
-from bfforms.sop import minimize_sop
-from bfforms.truthtable import TruthTable, sample_uniform
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from bfforms import _kernels_py, _sop_planes, npclasses  # noqa: E402
+from bfforms.errors import GuardTimeoutError  # noqa: E402
+from bfforms.sop import minimize_sop  # noqa: E402
+from bfforms.truthtable import TruthTable, sample_uniform  # noqa: E402
 
 try:
     from bfforms import _kernels_c

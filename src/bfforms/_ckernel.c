@@ -249,12 +249,7 @@ static int min_cover(uint64_t *cov, uint8_t *lits, int np, uint64_t on, double d
 /* (terms, literals) of the exact minimum SOP cover of the on rows. */
 static int min_sop(const struct lattice *lat, uint64_t on, double guard_s, int *terms, int *lits)
 {
-    if (on == 0 || on == lat->full) {
-        *terms = on != 0;
-        *lits = 0;
-        return DONE;
-    }
-    if (guard_s <= 0)
+    if (guard_s <= 0 && on != 0 && on != lat->full)
         return GUARD;
     double deadline = now() + guard_s;
 

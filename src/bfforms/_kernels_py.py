@@ -324,11 +324,7 @@ def _min_cover(
 def min_sop_counts(n: int, on: int, guard_s: float = 60.0) -> tuple[int, int]:
     """(terms, literals) of the exact minimum SOP cover of the ``on`` mask."""
     lat = _lattice(n)
-    if on == 0:
-        return (0, 0)
-    if on == lat.full:
-        return (1, 0)
-    if guard_s <= 0:
+    if guard_s <= 0 and 0 < on < lat.full:
         raise GuardTimeoutError("SOP count minimization exceeded its time guard")
     deadline = time.monotonic() + guard_s
     primes = _prime_ids(n, on)

@@ -189,19 +189,10 @@ class SweepRecords(Sequence):
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
-def _record_from_counts(index: int, n: int, c: tuple[int, ...]) -> SweepRecord:
-    return SweepRecord(
-        index=index,
-        cost_cfr=costs.from_counts(n, c[0], c[1], c[2], dual_rail=True),
-        cost_rm=costs.from_counts(n, c[3], c[4], c[5], dual_rail=False),
-        cost_afr=costs.from_counts(n, c[6], c[7], c[8], dual_rail=False),
-    )
-
-
 def analyze_record(tt: TruthTable, guard_s: float | None = None) -> SweepRecord:
     """Sweep record of a single function (kernel-backed)."""
     counts = kernels.analyze_counts(tt.n, tt.index, resolve_guard(guard_s))
-    return _record_from_counts(tt.index, tt.n, counts)
+    return _record_of_row(tt.index, _cost_rows(tt.n, [counts])[0])
 
 
 @dataclass(frozen=True)

@@ -1,23 +1,28 @@
 """Command-line surface: analyze, sweep, sample, convert.
 
-Exit codes: 0 success, 1 usage error, 2 input format or file error (a bad,
-unreadable or non-UTF-8 PLA file, an ``--out`` that cannot be written), 3
-resource abort (the time guard tripped, or memory ran out).  Diagnostics go
-to stderr; data goes to stdout or to the files under ``--out``.
+Exit codes: 0 success; 1 usage error (a missing or unknown argument, an
+integer option that is not ASCII digits after an optional '-', --count or
+--jobs below 1, --seed outside 0..2**64-1, an empty --out, a NaN guard); 2
+input format or file error (--tt not ASCII hex after an optional 0x,
+--polarity not ASCII decimal, a value out of range for the function or the
+file, a bad, unreadable or non-UTF-8 PLA file, an --out that cannot be
+written); 3 resource abort (the time guard tripped, or memory ran out).
+Diagnostics go to stderr; data goes to stdout or to the files under --out.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import re
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
 from .analysis import analyze_function, sampled_sweep, sweep
 from .arith import arithmetic_transform, best_arith_polarity
-from .costs import CRITERIA, cost_of_arith, cost_of_rm, cost_of_sop
+from .costs import CRITERIA, cost_of_arith, cost_of_rm
 from .errors import GuardTimeoutError, PlaFormatError
 from .pla import PlaDocument, emit_pla, parse_pla, sop_to_pla, truth_tables
 from .reedmuller import PolarityVector, best_polarity, fprm_transform
@@ -30,23 +35,39 @@ EXIT_USAGE = 1
 EXIT_FORMAT = 2
 EXIT_GUARD = 3
 
+_DECIMAL = "-?[0-9]+"
+_HEX = "(?:0[xX])?([0-9a-fA-F]+)"
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; the documented contract is 1.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit_usage(message)
-
-
-class SystemExit_usage(Exception):
-    def __init__(self, message: str):
-        super().__init__(message)
+        raise ValueError(message)
 
 
 class InputFormatError(ValueError):
     pass
 
 
+def _decimal(text: str) -> int:
+    """An integer option: ASCII digits after an optional '-'.
+
+    ``int`` alone also takes spaces, '+', '_' and non-ASCII digits.
+    """
+    if not re.fullmatch(_DECIMAL, text):
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+    return int(text)
+
+
+def _directory(text: str) -> str:
+    """A report directory; an empty path would name the working directory."""
+    if not text:
+        raise argparse.ArgumentTypeError("empty report directory")
+    return text
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="bfforms", description=__doc__)
     parser.add_argument("--version", action="version", version=f"bfforms {__version__}")
@@ -55,33 +76,37 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser(
         "analyze", help="minimize one function in all three forms"
     )
-    analyze.add_argument("--n", type=int, required=True, help="variable count (1..6)")
+    analyze.set_defaults(run=_cmd_analyze)
+    analyze.add_argument("--n", type=_decimal, required=True, choices=range(1, 7))
     source = analyze.add_mutually_exclusive_group(required=True)
     source.add_argument("--tt", help="truth table as hex (bit j = value on row j)")
     source.add_argument("--pla", help="PLA file to read the function from")
-    analyze.add_argument("--output", type=int, default=0, help="PLA output column")
+    analyze.add_argument("--output", type=_decimal, default=0, help="PLA output column")
     analyze.add_argument("--criterion", choices=CRITERIA, default="s_ad")
     analyze.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     swp = sub.add_parser("sweep", help="exhaustive sweep with report files")
-    swp.add_argument("--n", type=int, required=True, choices=(1, 2, 3, 4))
-    swp.add_argument("--out", required=True, help="report directory")
+    swp.set_defaults(run=_cmd_sweep)
+    swp.add_argument("--n", type=_decimal, required=True, choices=(1, 2, 3, 4))
+    swp.add_argument("--out", type=_directory, required=True, help="report directory")
     swp.add_argument(
         "--jobs",
-        type=int,
+        type=_decimal,
         default=1,
         help="accepted (at least 1) and ignored: a sweep runs the kernel once "
         "per NP class, 402 calls at n=4; --jobs only affects sample",
     )
 
     smp = sub.add_parser("sample", help="seeded sampled sweep with report files")
-    smp.add_argument("--n", type=int, required=True, choices=(1, 2, 3, 4, 5))
-    smp.add_argument("--count", type=int, default=65536)
-    smp.add_argument("--seed", type=int, required=True)
-    smp.add_argument("--out", required=True, help="report directory")
-    smp.add_argument("--jobs", type=int, default=1, help="worker processes, at least 1")
+    smp.set_defaults(run=_cmd_sample)
+    smp.add_argument("--n", type=_decimal, required=True, choices=(1, 2, 3, 4, 5))
+    smp.add_argument("--count", type=_decimal, default=65536, help="draws, at least 1")
+    smp.add_argument("--seed", type=_decimal, required=True, help="0..2**64-1")
+    smp.add_argument("--out", type=_directory, required=True, help="report directory")
+    smp.add_argument("--jobs", type=_decimal, default=1, help="worker processes, at least 1")
 
     cnv = sub.add_parser("convert", help="convert a PLA file into a chosen form")
+    cnv.set_defaults(run=_cmd_convert)
     cnv.add_argument("--pla", required=True)
     cnv.add_argument("--form", choices=("cfr", "rm", "afr"), required=True)
     cnv.add_argument("--polarity", default="best", help="polarity integer or 'best'")
@@ -103,13 +128,11 @@ def _read_pla(path: str) -> PlaDocument:
 
 def _load_table(args) -> TruthTable:
     if args.tt is not None:
-        text = args.tt.lower().removeprefix("0x")
-        try:
-            index = int(text, 16)
-        except ValueError:
+        digits = re.fullmatch(_HEX, args.tt)
+        if digits is None:
             raise InputFormatError(f"invalid hex truth table {args.tt!r}")
         try:
-            return TruthTable.from_index(args.n, index)
+            return TruthTable.from_index(args.n, int(digits[1], 16))
         except ValueError as exc:
             raise InputFormatError(str(exc))
     doc = _read_pla(args.pla)
@@ -126,11 +149,9 @@ def _load_table(args) -> TruthTable:
 
 
 def _cmd_analyze(args) -> int:
-    if not 1 <= args.n <= 6:
-        raise ValueError(f"--n must be in 1..6, got {args.n}")
     tt = _load_table(args)
     fa = analyze_function(tt, args.criterion)
-    cost_sop = cost_of_sop(fa.sop)
+    cost_sop = fa.record.cost_cfr
     cost_rm = cost_of_rm(fa.rm)
     cost_af = cost_of_arith(fa.afr)
     labels = fa.labels()
@@ -161,10 +182,7 @@ def _cmd_analyze(args) -> int:
                 },
                 "afr": {
                     "polarity": fa.afr_polarity.k,
-                    "coeffs": [
-                        c if isinstance(c, int) else str(Fraction(c))
-                        for c in fa.afr.coeffs
-                    ],
+                    "coeffs": list(fa.afr.coeffs),
                     "text": str(fa.afr),
                     "cost": cost_af.as_dict(),
                 },
@@ -199,8 +217,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    if args.count < 1:
-        raise InputFormatError(f"--count must be >= 1, got {args.count}")
     records = sampled_sweep(args.n, args.count, args.seed, jobs=args.jobs)
     sampled = {"count": args.count, "seed": args.seed}
     written = write_sweep_reports(records, args.n, args.out, sampled=sampled)
@@ -214,10 +230,9 @@ def _cmd_convert(args) -> int:
     n = doc.num_inputs
     fixed_polarity: PolarityVector | None = None
     if args.form in ("rm", "afr") and args.polarity != "best":
-        try:
-            k = int(args.polarity)
-        except ValueError:
-            raise InputFormatError(f"--polarity must be an integer or 'best'")
+        if not re.fullmatch(_DECIMAL, args.polarity):
+            raise InputFormatError("--polarity must be an integer or 'best'")
+        k = int(args.polarity)
         if not 0 <= k < (1 << n):
             raise InputFormatError(f"--polarity {k} out of range for n={n}")
         fixed_polarity = PolarityVector.from_int(n, k)
@@ -244,22 +259,9 @@ def _cmd_convert(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit_usage as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "sample":
-            return _cmd_sample(args)
-        if args.command == "convert":
-            return _cmd_convert(args)
-        raise AssertionError(f"unhandled command {args.command}")
+        args = _build_parser().parse_args(argv)
+        return args.run(args)
     except (PlaFormatError, InputFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT

@@ -46,13 +46,8 @@ def format_rational(value: int | Fraction, places: int = 3) -> str:
     """Decimal rendering with round-half-even at ``places`` digits."""
     f = Fraction(value)
     sign = "-" if f < 0 else ""
-    f = abs(f)
     scale = 10**places
-    q, r = divmod(f.numerator * scale, f.denominator)
-    doubled = 2 * r
-    if doubled > f.denominator or (doubled == f.denominator and q % 2 == 1):
-        q += 1
-    whole, frac = divmod(q, scale)
+    whole, frac = divmod(round(abs(f) * scale), scale)
     if places == 0:
         return f"{sign}{whole}"
     return f"{sign}{whole}.{frac:0{places}d}"
@@ -75,13 +70,12 @@ def _cell(value, places: int) -> str:
 
 @dataclass(frozen=True)
 class ReportTable:
-    """A titled table of exact rationals/integers/floats/strings.
+    """A table of exact rationals/integers/floats/strings.
 
     Its rows are tuples of cells, or all lines its builder already rendered;
     the records table yields such lines lazily, to be read once.
     """
 
-    title: str
     headers: tuple[str, ...]
     rows: Iterable[tuple | str]
 
@@ -121,7 +115,7 @@ def rei_table(stats: SweepStats) -> ReportTable:
         for form in ("cfr", "afr", "rm", "ofr")
     )
     headers = ("variant", "form") + CRITERIA
-    return ReportTable("relative efficiency index", headers, rows)
+    return ReportTable(headers, rows)
 
 
 def weight_stderr(weight: Fraction, n_max: int) -> float:
@@ -137,11 +131,7 @@ def weights_table(stats: SweepStats, sampled: bool) -> ReportTable:
         for label, weight in stats.specific_weights(criterion).items():
             stderr = (weight_stderr(weight, stats.n_max),) if sampled else ()
             rows.append((criterion, label, weight) + stderr)
-    return ReportTable(
-        title="specific weights of priority subsets",
-        headers=headers,
-        rows=tuple(rows),
-    )
+    return ReportTable(headers, tuple(rows))
 
 
 def losses_table(stats: SweepStats) -> ReportTable:
@@ -160,7 +150,6 @@ def losses_table(stats: SweepStats) -> ReportTable:
                 )
             )
     return ReportTable(
-        title="aggregate losses and benefits",
         headers=(
             "criterion",
             "scenario",
@@ -187,7 +176,7 @@ def records_table(records) -> ReportTable:
     cell_format = ",".join(["%s"] * (len(headers) - 1))
     cells = [cell_format % row for row in recs.class_rows]
     lines = (f"{i},{cells[c]}" for i, c in zip(recs.indices, recs.class_of))
-    return ReportTable(title="per-function records", headers=tuple(headers), rows=lines)
+    return ReportTable(tuple(headers), lines)
 
 
 def summary_json(stats: SweepStats, n: int, sampled: dict | None = None) -> dict:

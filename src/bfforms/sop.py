@@ -179,15 +179,11 @@ def minimize_sop(tt: TruthTable, guard_s: float | None = None) -> SopForm:
     n = tt.n
     guard = resolve_guard(guard_s)
     on = tt.index
-    if on == 0:
-        return SopForm(n, ())
-    if on == (1 << (1 << n)) - 1:
-        return SopForm(n, (Cube(n, 0, 0),))
-    if guard <= 0:
+    lat = _lattice(n)
+    if guard <= 0 and 0 < on < lat.full:
         raise GuardTimeoutError("SOP minimization exceeded its time guard")
     deadline = time.monotonic() + guard
 
-    lat = _lattice(n)
     primes = _prime_ids(n, on)
     count = len(primes)
     s2 = count + 7

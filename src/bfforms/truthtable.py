@@ -164,10 +164,13 @@ def sample_uniform(n: int, count: int, seed: int) -> list[int]:
 
     Sampling is with replacement.  Draw ``k`` is the top ``2**n`` bits of
     the ``k``-th splitmix64 output, which is exactly uniform because the
-    range is a power of two.
+    range is a power of two.  ``count`` must be at least 1 and ``seed`` in
+    0..2**64-1, so that distinct seeds give distinct samples.
     """
     _validate_n(n)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must be in 0..2**64-1, got {seed}")
     shift = 64 - (1 << n)
     return [z >> shift for z in splitmix64(seed, count)]

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from bfforms import cli
 
 DATA = Path(__file__).parent / "data"
 
@@ -15,6 +19,12 @@ def run_cli(*args, env=None):
         text=True,
         env=env,
     )
+
+
+def main_code(*args) -> int:
+    """Exit code of ``cli.main`` on ``args``, run in this process."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(list(args))
 
 
 def test_analyze_or2_text():
@@ -58,12 +68,26 @@ def test_analyze_from_pla_output_column():
     assert "cfr: x1*x2" in result.stdout
 
 
-def test_usage_errors_exit_1():
+def test_usage_errors_exit_1(tmp_path, monkeypatch):
     assert run_cli().returncode == 1
     assert run_cli("analyze", "--n", "2").returncode == 1
     assert run_cli("analyze", "--n", "2", "--tt", "E", "--criterion", "x").returncode == 1
     assert run_cli("analyze", "--n", "9", "--tt", "E").returncode == 1
     assert run_cli("sweep", "--n", "9", "--out", "/tmp/x").returncode == 1
+    # Integer options take ASCII digits after an optional '-', nothing else.
+    for n in (" 2", "\uff12", "+2", "2_0"):
+        assert main_code("analyze", "--n", n, "--tt", "E") == 1, n
+    # --count below 1 and --seed outside 0..2**64-1 are usage errors too, and
+    # an empty --out, which named the working directory.
+    monkeypatch.chdir(tmp_path)
+    for option, value in (("--count", "1_0"), ("--count", "0"), ("--count", "-3"),
+                          ("--seed", str(1 << 64)), ("--seed", "-1"), ("--seed", " 1"),
+                          ("--jobs", "+1"), ("--out", "")):
+        argv = {"--count": "10", "--seed": "1", "--out": "report", option: value}
+        args = [t for kv in argv.items() for t in kv]
+        assert main_code("sample", "--n", "3", *args) == 1, (option, value)
+    assert main_code("sweep", "--n", "1", "--out", "") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_jobs_below_one_exits_1(tmp_path):
@@ -80,6 +104,11 @@ def test_jobs_below_one_exits_1(tmp_path):
 def test_input_format_errors_exit_2(tmp_path):
     bad_hex = run_cli("analyze", "--n", "2", "--tt", "zz")
     assert bad_hex.returncode == 2
+    # --tt is ASCII hex after an optional 0x; int(text, 16) took all of these.
+    for text in (" 8 ", "-0", "+e", "\uff11", "0x", "1_0"):
+        assert main_code("analyze", "--n", "2", "--tt", text) == 2, text
+    two_out = str(DATA / "two_out.pla")
+    assert main_code("analyze", "--n", "2", "--pla", two_out, "--output", "-1") == 2
     out_of_range = run_cli("analyze", "--n", "1", "--tt", "FFFF")
     assert out_of_range.returncode == 2
     bad = tmp_path / "bad.pla"
@@ -213,6 +242,10 @@ def test_convert_rm_best_and_fixed():
         "convert", "--pla", str(DATA / "or2.pla"), "--form", "rm", "--polarity", "9"
     )
     assert bad.returncode == 2
+    # --polarity is ASCII decimal; int(text) took all of these.
+    for polarity in (" +1", "1_0", "\uff11"):
+        argv = ("convert", "--pla", str(DATA / "or2.pla"), "--form", "rm", "--polarity")
+        assert main_code(*argv, polarity) == 2, polarity
 
 
 def test_convert_afr():

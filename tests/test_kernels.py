@@ -462,14 +462,18 @@ def test_min_sop_counts_edges(impl):
     assert impl.min_sop_counts(3, 0, 60.0) == (0, 0)
     assert impl.min_sop_counts(3, 255, 60.0) == (1, 0)
     assert impl.min_sop_counts(3, 0b11101000, 60.0) == (3, 6)  # MAJ3
+    assert impl.analyze_counts(6, 0, 60.0) == (0,) * 9
+    assert impl.analyze_counts(6, (1 << 64) - 1, 60.0) == (1, 0, 0) * 3
 
 
 @pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
 def test_guard_zero_aborts(impl):
     with pytest.raises(GuardTimeoutError):
         impl.min_sop_counts(3, 0b11101000, 0.0)
-    # Trivial cases never need the cover search and stay exempt.
-    assert impl.min_sop_counts(3, 0, 0.0) == (0, 0)
+    # Constants stay exempt: their cover search has nothing to search.
+    for n in range(1, 7):
+        assert impl.min_sop_counts(n, 0, 0.0) == (0, 0)
+        assert impl.min_sop_counts(n, (1 << (1 << n)) - 1, 0.0) == (1, 0)
 
 
 @pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)

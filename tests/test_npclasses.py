@@ -15,7 +15,6 @@ from bfforms import costs, kernels
 from bfforms.analysis import (
     SweepRecord,
     SweepRecords,
-    _record_from_counts,
     aggregate,
     sampled_sweep,
     sweep,
@@ -80,11 +79,21 @@ def test_counts_equal_representatives(n):
         assert kernels.analyze_counts(n, index) == rep_counts[classes.class_of[index]]
 
 
+def record_of_counts(index: int, n: int, c: tuple[int, ...]) -> SweepRecord:
+    """The record of one kernel count row, built from ``costs.from_counts``."""
+    return SweepRecord(
+        index=index,
+        cost_cfr=costs.from_counts(n, c[0], c[1], c[2], dual_rail=True),
+        cost_rm=costs.from_counts(n, c[3], c[4], c[5], dual_rail=False),
+        cost_afr=costs.from_counts(n, c[6], c[7], c[8], dual_rail=False),
+    )
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_sweep_equals_per_function_records(n):
     total = 1 << (1 << n)
     expected = [
-        _record_from_counts(i, n, c)
+        record_of_counts(i, n, c)
         for i, c in enumerate(kernels.sweep_counts(n, 0, total))
     ]
     records = sweep(n)

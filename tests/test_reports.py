@@ -65,7 +65,7 @@ def test_csv_conventions(stats3):
 
 
 def test_report_table_width_check():
-    table = ReportTable("t", ("a", "b"), ((1,),))
+    table = ReportTable(("a", "b"), ((1,),))
     with pytest.raises(ValueError):
         table.render_csv()
 

@@ -175,6 +175,11 @@ def cover_strings_from(cubes) -> list[str]:
 def test_guard_zero_aborts(maj3):
     with pytest.raises(GuardTimeoutError):
         minimize_sop(maj3, guard_s=0.0)
+    # Constants stay exempt: their cover search has nothing to search.
+    for n in range(1, 7):
+        zero = minimize_sop(TruthTable.from_index(n, 0), guard_s=0.0)
+        one = minimize_sop(TruthTable.from_index(n, (1 << (1 << n)) - 1), guard_s=0.0)
+        assert (zero.terms, cover_strings(one)) == ((), ["-" * n])
 
 
 @pytest.mark.parametrize("text", ["nan", "NaN", "-nan"])
