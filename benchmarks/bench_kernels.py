@@ -6,14 +6,16 @@ n=5 and n=6 samples, then prints functions per second and the speedup.
 `analyze_batch` is the path `bfforms sweep` (n <= 4) and `sample` (n <= 5)
 run; no command sends it n=6 batches, so the n=6 figures time the kernel
 API alone.  On the pure backend it finds the primes and essential primes
-of the whole batch in bit planes (`_sop_planes.front_end`) and runs a
-cover search only for the functions whose essentials leave rows
-uncovered.  For the pure backend it also times its layers on the same
-indices: the one-function SOP path that `analyze_counts` runs
-(`min_sop_counts`) and its prime filter (`_prime_ids`), the batch front
-end, and the polarity scan of both polynomial forms, once as the
-lane-parallel batch that sweeps use (`polarity_minima_batch`) and once one
-function per call (`polarity_minima`, as `analyze` uses it).  It then
+of the whole batch in bit planes, completes in the planes every cover that
+one more prime completes (`_sop_planes.partial_covers`), and runs a cover
+search only for the functions still left with rows uncovered; it prints
+how many of the batch those are.  For the pure backend it also times its
+layers on the same indices: the one-function SOP path that
+`analyze_counts` runs (`min_sop_counts`) and its prime filter
+(`_prime_ids`), the batch plane stages, and the polarity scan of both
+polynomial forms, once as the lane-parallel batch that sweeps use
+(`polarity_minima_batch`) and once one function per call
+(`polarity_minima`, as `analyze` uses it).  It then
 times the NP-class enumeration that exhaustive sweeps run before the
 kernel, for n=3 and n=4, and prints the class counts.  Last, it runs the
 SOP cover search on the 126 non-constant symmetric functions of six
@@ -117,13 +119,20 @@ def main():
                 for fn in (impl.min_sop_counts, impl._prime_ids, impl.polarity_minima):
                     elapsed = bench_layer(fn, n, indices)
                     print(f"    {fn.__name__:21s} {elapsed:8.3f}s")
+                costs = [impl._TERM + lit for lit in impl._lattice(n).lits]
+
+                def partial_covers(n, indices):
+                    return _sop_planes.partial_covers(n, indices, costs)
+
                 batch_layers = [
-                    ("_sop_planes.front_end", _sop_planes.front_end),
+                    ("plane stages", partial_covers),
                     ("polarity_minima_batch", impl.polarity_minima_batch),
                 ]
                 for label, fn in batch_layers:
                     elapsed = bench_batch_layer(fn, n, indices)
                     print(f"    {label:21s} {elapsed:8.3f}s")
+                searches = sum(1 for *_, uncov in partial_covers(n, indices) if uncov)
+                print(f"    cover searches left   {searches:8d} of {len(indices)}")
         if len(rates) == 2:
             print(f"  speedup   {rates['compiled'] / rates['pure']:8.1f}x")
         else:

@@ -23,9 +23,12 @@ planes per row count the primes that hold it, saturating at two: "at
 least once" is an OR of the primes, and "at least twice" also takes the
 AND of the two sides each time an absent digit is pushed down onto its
 x_p = 0 and x_p = 1 halves.  A prime that holds a row covered once is
-essential.  One transpose back then gives each function its essential
-primes, its uncovered rows and the other primes that meet them, and only
-a function with uncovered rows runs the cover search, on those primes.
+essential.  A function whose essentials leave rows uncovered, all of them
+in one more prime, takes the cheapest such prime: one term beats any
+completion of two.  The cost of the primes taken is summed in the planes
+too.  One transpose back then gives each function that cost, its
+uncovered rows and the other primes that meet them, and only a function
+with rows still uncovered runs the cover search, on those primes.
 
 The exact cover search reduces the prime table to its cyclic core
 (McCluskey, 1956) and searches the core:
@@ -63,6 +66,13 @@ then becomes four 8-bit fields, low to high: Reed-Muller nonzero count,
 Reed-Muller literals, arithmetic nonzero count, arithmetic literals.
 Counts reach 2**n = 64 and literal sums n * 2**(n-1) = 192 at n = 6, and
 the fold only adds, so no field overflows either.
+
+The minima over all polarities take no per-byte loop.  The even and the
+odd fields move to 16-bit slots, where bit 8 is free, and a pairwise tree
+of packed compares (Lamport, "Multiple byte processing with full-word
+instructions", 1975) takes the least of every slot at once: bit 8 of a
+slot of (a | 0x100) - b is set exactly when a >= b.  A group's six minima
+per lane are then three byte strings read with strides.
 """
 
 from __future__ import annotations
@@ -76,9 +86,12 @@ from .errors import GuardTimeoutError
 
 BACKEND = "pure"
 
-# Functions per lane-parallel polarity pass.  Past 64 lanes the pass gets
-# no faster per function, while its integers keep growing.
-_LANES = 64
+# Functions per lane-parallel polarity pass.  An integer operation costs
+# less per lane the wider it is, and the packed minima cost the same per
+# lane at any width.  Past 256 lanes a pass over 4,096 n=5 functions
+# saved under 2 ms more, while the pass's transient integers, about
+# 0.8 MB at 256 lanes, grow with the width.
+_LANES = 256
 
 # Per lane: the count fields of both forms, and the bias as low byte.
 _COUNTS = 0xFF | 0xFF << 16
@@ -100,8 +113,8 @@ class Lattice(NamedTuple):
     0 = variable absent, 1 = negative literal, 2 = positive literal.  Per
     cube id: ``covers`` its rows and ``lits`` its literal count.  ``full``
     is the mask of all 2**n rows and ``minterm[x]`` the id of the cube of
-    row x alone.  Per variable p, ``absent[p]`` and ``literal[p]`` are the
-    bit masks of the ids whose digit p is 0 and is not 0.
+    row x alone.  Per variable p, ``absent[p]`` is the bit mask of the ids
+    whose digit p is 0.
     """
 
     covers: list[int]
@@ -109,7 +122,6 @@ class Lattice(NamedTuple):
     full: int
     minterm: list[int]
     absent: list[int]
-    literal: list[int]
 
 
 @cache
@@ -134,8 +146,7 @@ def _lattice(n: int) -> Lattice:
         absent = [m | m << size | m << 2 * size for m in absent]
         absent.append((1 << size) - 1)
         size *= 3
-    ids = (1 << size) - 1
-    return Lattice(covers, lits, full, minterm, absent, [ids ^ m for m in absent])
+    return Lattice(covers, lits, full, minterm, absent)
 
 
 def _prime_ids(n: int, on: int) -> list[int]:
@@ -174,8 +185,8 @@ def _cyclic_core(
 ) -> tuple[list[tuple[int, int, int]], int, int, list[int]]:
     """(candidates, uncovered rows, cost taken, positions taken).
 
-    ``cand`` holds (rows, cost, position) per prime.  Two steps repeat
-    until the candidates stop changing:
+    ``cand`` holds (rows, cost, position) per prime, positions ascending.
+    Two steps repeat until the candidates stop changing:
 
     - essentials: a candidate that alone covers some uncovered row is in
       every cover drawn from the candidates, so it is taken;
@@ -205,14 +216,15 @@ def _cyclic_core(
                     uncov &= ~cov
             if not uncov:
                 return [], 0, cost, taken
-        cand = [(cov & uncov, step, pos) for cov, step, pos in cand if cov & uncov]
+        cand = [(rows, step, pos) for cov, step, pos in cand if (rows := cov & uncov)]
         kept = []
-        for i, (ci, wi, _) in enumerate(cand):
-            for j, (cj, wj, _) in enumerate(cand):
-                if wj <= wi and ci & cj == ci and (j < i or cj != ci or wj < wi):
+        for c in cand:
+            ci, wi, pi = c
+            for cj, wj, pj in cand:
+                if ci & cj == ci and wj <= wi and (pj < pi or cj != ci or wj < wi):
                     break
             else:
-                kept.append(cand[i])
+                kept.append(c)
         if len(kept) == len(cand):
             return cand, uncov, cost, taken
         cand = kept
@@ -223,7 +235,8 @@ def _least_cost_cover(
 ) -> tuple[int, list[int]]:
     """(least total cost, chosen positions) of a prime cover of ``on``.
 
-    ``cand`` holds (rows, positive cost, position) per prime.
+    ``cand`` holds (rows, positive cost, position) per prime, positions
+    ascending.
     """
     cand, uncov, cost, taken = _cyclic_core(cand, on)
     if not uncov:
@@ -359,9 +372,11 @@ def polarity_minima_batch(n: int, masks: Sequence[int]) -> list[tuple[int, ...]]
             v = lo + hi + [h + bias - l for l, h in zip(lo, hi)]
         # The RM-count bit is the entry's parity (the bias is even).  The
         # arithmetic-count bit is set when the entry is nonzero: t ^ bias
-        # lies in 1..127 then, and adding 0x7F carries into bit 7.
+        # lies in 1..127 then, and adding 0x7F carries into bit 7, which
+        # moves up to bit 16.
         high = ones * 0x7F
-        v = [t & ones | (((t ^ bias) + high) >> 7 & ones) << 16 for t in v]
+        carry = ones << 7
+        v = [t & ones | ((t ^ bias) + high & carry) << 9 for t in v]
         # Fold digit p: digits 0 and 1 become polarity bit p, and digit 2
         # (x_p in the monomial) joins both, each of its monomials one
         # literal longer.
@@ -371,19 +386,29 @@ def polarity_minima_batch(n: int, masks: Sequence[int]) -> list[tuple[int, ...]]
             v = [t + u for t, u in zip(v[0::3], d2)] + [
                 t + u for t, u in zip(v[1::3], d2)
             ]
-        # Per-lane minima over all polarities, one byte column per field.
-        # Under polarity k the constant coefficient is f(k) in both forms,
-        # so the counts are at least f(k) and subtracting it borrows nothing.
-        width = 4 * len(group)
-        least = list(map(min, zip(*[t.to_bytes(width, "little") for t in v])))
-        lowered = [
-            (t - f * 0x10001).to_bytes(width, "little") for t, f in zip(v, planes)
-        ]
-        sh = list(map(min, zip(*lowered)))
-        out += [
-            (least[j], sh[j], least[j + 1], least[j + 2], sh[j + 2], least[j + 3])
-            for j in range(0, width, 4)
-        ]
+        # Per-lane minima over all polarities.  The even and the odd fields
+        # move to 16-bit slots, and a tree of packed compares takes the
+        # minimum of all slots at once.  A slot of d = (a | high) - b holds
+        # a - b + 256, so bit 8 is set when a >= b; spread to the low 8 bits,
+        # it selects a - b, and a less that is b.  Under polarity k the
+        # constant coefficient is f(k) in both forms, so the counts are at
+        # least f(k) and subtracting it borrows nothing.
+        high = ones * 0x1000100
+
+        def pick(a: int, b: int) -> int:
+            d = (a | high) - b
+            ge = d & high
+            return a - (d & (ge - (ge >> 8)))
+
+        def least(w: list[int]) -> bytes:
+            while len(w) > 1:
+                w = list(map(pick, w[0::2], w[1::2]))
+            return w[0].to_bytes(4 * len(group), "little")
+
+        even = least([t & counts for t in v])
+        odd = least([t >> 8 & counts for t in v])
+        sh = least([(t - f * 0x10001) & counts for t, f in zip(v, planes)])
+        out += zip(even[0::4], sh[0::4], odd[0::4], even[2::4], sh[2::4], odd[2::4])
     return out
 
 
@@ -426,10 +451,10 @@ def analyze_batch(
     """analyze_counts over an index sequence, in order.
 
     Both sides run on the whole sequence at once: the polarity minima in
-    lane-parallel passes, and the SOP front end in bit planes
-    (:func:`_sop_planes.front_end`).  Only a function whose essential primes
-    leave rows uncovered gets a cover search of its own, under its own
-    ``guard_s`` deadline.
+    lane-parallel passes, and the SOP essentials and one-term completions
+    in bit planes (:func:`_sop_planes.partial_covers`).  Only a function
+    with rows still uncovered gets a cover search of its own, under its
+    own ``guard_s`` deadline.
     """
     lat = _lattice(n)
     if guard_s <= 0 and any(0 < index < lat.full for index in indices):
@@ -437,11 +462,11 @@ def analyze_batch(
     costs = [_TERM + lit for lit in lat.lits]
     cands = list(zip(lat.covers, costs, range(len(costs))))
     out = []
-    for index, (essential, resid, uncov), minima in zip(
-        indices, _sop_planes.front_end(n, indices), polarity_minima_batch(n, indices)
+    for index, (cost, resid, uncov), minima in zip(
+        indices,
+        _sop_planes.partial_covers(n, indices, costs),
+        polarity_minima_batch(n, indices),
     ):
-        cost = _TERM * essential.bit_count()
-        cost += sum((essential & m).bit_count() for m in lat.literal)
         if uncov:
             cand = []
             while resid:

@@ -6,10 +6,20 @@ Each plane is one integer with bit i for the i-th function of the batch,
 and one transpose back per batch hands each function its share.  Cube ids
 are those of ``_kernels_py._lattice``: digit p, of weight 3**p, is 0 for
 x_p absent, 1 for x_p = 0 and 2 for x_p = 1.
+
+After the essentials, a one-term stage completes every cover that a
+single residual prime completes.  A residual prime holds every uncovered
+row of its function when no uncovered row lies outside it, and the rows
+outside a cube are those outside one of its literals: each cube's plane
+of "an uncovered row outside" is an OR over its literals of the
+opposite half-cube's rows, built by tripling like the lattice.  The
+taken cubes' costs are then summed in bit-sliced planes, so only that
+sum, not the cubes, goes back to each function.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from operator import and_, or_
 from typing import Iterator, Sequence
 
@@ -47,8 +57,8 @@ def transpose(rows: Sequence[int], width: int) -> Iterator[int]:
     words = -(-width // 64)
     blocks = -(-len(rows) // 64)
     src = bytearray(512 * words * blocks)
-    for r, row in enumerate(rows):
-        src[8 * words * r : 8 * words * (r + 1)] = row.to_bytes(8 * words, "little")
+    packed = b"".join(row.to_bytes(8 * words, "little") for row in rows)
+    src[: len(packed)] = packed
     src_words = memoryview(src).cast("Q")
     dst = bytearray(len(src))
     dst_words = memoryview(dst).cast("Q")
@@ -133,12 +143,9 @@ def _sole(prime: list[int], n: int) -> list[int]:
     return [o & ~w for o, w in zip(once, twice)]
 
 
-def front_end(n: int, masks: Sequence[int]) -> Iterator[tuple[int, int, int]]:
-    """Per mask: (essential primes, residual cubes, uncovered rows).
-
-    The first two are bit masks over cube ids; the residual cubes are the
-    primes that are not essential and meet an uncovered row.
-    """
+def _planes(n: int, masks: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
+    """Planes of the essential primes, the residual cubes and the uncovered
+    rows."""
     rows = list(transpose(masks, 1 << n))
     prime = _primes(_up(rows, n, and_), n)
     ess = list(map(and_, prime, _up(_sole(prime, n), n, or_)))
@@ -146,9 +153,98 @@ def front_end(n: int, masks: Sequence[int]) -> Iterator[tuple[int, int, int]]:
     # An essential cube's rows are all covered, so only the other primes
     # meet an uncovered row.
     resid = list(map(and_, prime, _up(uncov, n, or_)))
+    return ess, resid, uncov
+
+
+def front_end(n: int, masks: Sequence[int]) -> Iterator[tuple[int, int, int]]:
+    """Per mask: (essential primes, residual cubes, uncovered rows).
+
+    The first two are bit masks over cube ids; the residual cubes are the
+    primes that are not essential and meet an uncovered row.
+    """
+    ess, resid, uncov = _planes(n, masks)
     size = 3**n
     cubes = (1 << size) - 1
     return (
         (c & cubes, c >> size & cubes, c >> 2 * size)
         for c in transpose(ess + resid + uncov, len(masks))
+    )
+
+
+def _one_term(
+    n: int, ess: list[int], resid: list[int], uncov: list[int], costs: Sequence[int]
+) -> None:
+    """Complete, in place, each cover that one residual prime completes.
+
+    Such a prime holds every uncovered row of its function.  Of those, the
+    one of least cost (then lowest id) joins the essential plane, and its
+    function's uncovered and residual bits are cleared.
+    """
+    # outside[c]: the functions with an uncovered row outside cube c, an OR
+    # over c's literals of the uncovered rows of the opposite half-cube.
+    outside = [0]
+    for p in range(n):
+        zero = one = 0
+        for r, u in enumerate(uncov):
+            if r >> p & 1:
+                one |= u
+            else:
+                zero |= u
+        outside += [o | one for o in outside] + [o | zero for o in outside]
+    pending = reduce(or_, uncov)
+    done = 0
+    for c in sorted(range(len(costs)), key=costs.__getitem__):
+        hit = resid[c] & pending & ~outside[c]
+        if hit:
+            ess[c] |= hit
+            pending ^= hit
+            done |= hit
+    if done:
+        uncov[:] = [u & ~done for u in uncov]
+        resid[:] = [c & ~done for c in resid]
+
+
+def _weighted_sum(planes: list[int], weights: Sequence[int]) -> list[int]:
+    """Bit-sliced sum of ``weights[c]`` over the set bits of ``planes[c]``.
+
+    Plane b of the result holds bit b of every function's sum.  Each weight
+    bit ripples its plane up the sum as a carry chain.
+    """
+    total = [0] * sum(weights).bit_length()
+    for plane, weight in zip(planes, weights):
+        b = 0
+        while plane and weight:
+            if weight & 1:
+                carry = plane
+                k = b
+                while carry:
+                    carry, total[k] = total[k] & carry, total[k] ^ carry
+                    k += 1
+            weight >>= 1
+            b += 1
+    return total
+
+
+def partial_covers(
+    n: int, masks: Sequence[int], costs: Sequence[int]
+) -> Iterator[tuple[int, int, int]]:
+    """Per mask: (cost taken, residual cubes, uncovered rows).
+
+    ``costs`` gives each cube's cost, any one cube costing less than any two.
+    The cubes taken are the essential primes, and one more residual prime
+    where it covers every uncovered row (:func:`_one_term`): one term then
+    beats any completion of two.  Such a function has no residual cubes or
+    uncovered rows left, so only the others need a cover search.
+    """
+    ess, resid, uncov = _planes(n, masks)
+    _one_term(n, ess, resid, uncov, costs)
+    total = _weighted_sum(ess, costs)
+    width = len(total)
+    low = (1 << width) - 1
+    size = 3**n
+    cubes = (1 << size) - 1
+    rows = width + size
+    return (
+        (c & low, c >> width & cubes, c >> rows)
+        for c in transpose(total + resid + uncov, len(masks))
     )

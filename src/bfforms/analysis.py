@@ -435,7 +435,9 @@ def _run_jobs(chunks, jobs: int):
         # that loads bfforms, and single-job runs never use it.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # The pool starts all its workers at the first task: no more than
+        # there are chunks.
+        with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
             results = list(pool.map(_batch_chunk, chunks))
     merged: list[tuple[int, ...]] = []
     for part in results:

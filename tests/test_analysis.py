@@ -1,3 +1,4 @@
+import concurrent.futures
 from dataclasses import astuple, is_dataclass
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bfforms import costs
+from bfforms import cli, costs
 from bfforms.analysis import (
     SCENARIOS,
     SUBSET_LABELS,
@@ -222,6 +223,33 @@ def test_sampled_sweep_equals_per_function_records():
     assert expected == records
     assert list(records) == expected
     assert [records[i] for i in range(200)] == expected
+
+
+def test_process_pool_bounded_by_chunks(monkeypatch, tmp_path):
+    # The pool starts every worker at the first task, so --jobs above the
+    # chunk count must not reach it.  A stand-in pool records its size and
+    # maps in order; no process starts.
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    argv = ["sample", "--n", "5", "--count", "4096", "--seed", "3", "--jobs", "64"]
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert sizes == [2]
+    assert sampled_sweep(4, 300, seed=9, jobs=3) == sampled_sweep(4, 300, seed=9)
+    assert sizes == [2]
 
 
 def test_jobs_below_one_rejected():

@@ -19,6 +19,7 @@ import statistics
 import subprocess
 import sys
 import time
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -245,9 +246,6 @@ def test_lattice_matches_base3_digits(n):
     assert lat.absent == [
         sum(1 << c for c in ids if digits[c][p] == 0) for p in range(n)
     ]
-    assert lat.literal == [
-        sum(1 << c for c in ids if digits[c][p]) for p in range(n)
-    ]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -261,6 +259,42 @@ def test_front_end_matches_brute_force(n):
         masks = [0, full] + sample_uniform(n, {4: 300, 5: 30}[n], seed=90 + n)
     got = list(_sop_planes.front_end(n, masks))
     assert got == [brute_front_end(n, on) for on in masks]
+
+
+def brute_partial_cover(n: int, on: int) -> tuple[int, int, int]:
+    """(cost taken, residual, uncovered) after the one-term stage.
+
+    From :func:`brute_front_end`: when some residual prime holds every
+    uncovered row, the cheapest such prime completes the cover.
+    """
+    lat = pure._lattice(n)
+    essential, residual, uncovered = brute_front_end(n, on)
+    ids = range(3**n)
+    taken = sum(pure._TERM + lat.lits[c] for c in ids if essential >> c & 1)
+    whole = [
+        pure._TERM + lat.lits[c]
+        for c in ids
+        if residual >> c & 1 and lat.covers[c] & uncovered == uncovered
+    ]
+    if uncovered and whole:
+        return taken + min(whole), 0, 0
+    return taken, residual, uncovered
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_one_term_stage_matches_brute_force(n):
+    full = (1 << (1 << n)) - 1
+    if n <= 3:
+        masks = list(range(full + 1))
+    else:
+        masks = [0, full] + sample_uniform(n, {4: 300, 5: 60}[n], seed=80 + n)
+    costs = [pure._TERM + lit for lit in pure._lattice(n).lits]
+    got = list(_sop_planes.partial_covers(n, masks, costs))
+    assert got == [brute_partial_cover(n, on) for on in masks]
+    # The stage completes some covers the front end left open.
+    before = sum(1 for _, _, uncov in _sop_planes.front_end(n, masks) if uncov)
+    after = sum(1 for _, _, uncov in got if uncov)
+    assert after < before or n <= 2
 
 
 @pytest.mark.parametrize("rows, width", [(0, 5), (1, 1), (3, 70), (64, 64), (130, 32)])
@@ -384,13 +418,26 @@ def test_polarity_minima_match_library_n6(impl, index):
     assert impl.polarity_minima(6, index) == expected
 
 
+@cache
+def library_minima_of(n: int, mask: int) -> tuple[int, ...]:
+    """:func:`library_polarity_minima` of one mask, kept for the lane batches
+    that share draws."""
+    return library_polarity_minima(TruthTable.from_index(n, mask))
+
+
 def lane_batches():
     """(n, masks) batches whose lanes stress their neighbours."""
     extremes = N6_EXTREMES[:6]
     full6 = (1 << 64) - 1
     paired = [m for e in extremes for m in (e, full6 ^ e)]
     full5 = (1 << 32) - 1
-    draws = sample_uniform(5, 130, seed=707)
+    lanes = pure._LANES
+    sizes = sorted({1, 63, 64, 65, 130, lanes - 1, lanes, lanes + 1, 2 * lanes + 2})
+    draws = sample_uniform(5, sizes[-1], seed=707)
+    # Every extreme and its complement, centred on the first group
+    # boundary, after more of the same.
+    every_paired = [m for e in N6_EXTREMES for m in (e, full6 ^ e)]
+    filler = (every_paired * lanes)[: max(0, lanes - len(every_paired) // 2)]
     return [
         pytest.param(6, extremes, id="n6-extremes"),
         # Each function next to its complement, in both orders.
@@ -401,11 +448,12 @@ def lane_batches():
             [m for e in (0, full5, 1, 1 << 31, 0x69969669) for m in (e, full5 ^ e)],
             id="n5-complements",
         ),
-        # A lone lane, one group short of, at and just past 64 lanes, and
-        # two full groups plus two.
+        pytest.param(6, filler + every_paired, id="n6-complements-straddling"),
+        # A lone lane, one group short of, at and just past 64 lanes and
+        # ``_LANES`` lanes, and two full groups plus two of each.
         *(
             pytest.param(5, draws[:size], id=f"n5-size{size}")
-            for size in (1, 63, 64, 65, 130)
+            for size in sizes
         ),
     ]
 
@@ -418,7 +466,25 @@ def test_lane_isolation(n, masks):
     assert len(rows) == len(masks)
     for mask, row in zip(masks, rows):
         assert row == pure.polarity_minima(n, mask)
-        assert row == library_polarity_minima(TruthTable.from_index(n, mask))
+        assert row == library_minima_of(n, mask)
+
+
+@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
+def test_arithmetic_minima_never_below_reed_muller(impl):
+    # Each Reed-Muller coefficient is the parity of the arithmetic one at
+    # the same polarity, so under every polarity, and so for the minima,
+    # each arithmetic count is at least the Reed-Muller one.
+    sets = [(n, range(1 << (1 << n))) for n in (1, 2, 3, 4)]
+    sets.append((5, sample_uniform(5, 2048, seed=511)))
+    sets.append((6, sample_uniform(6, 200, seed=611)))
+    for n, masks in sets:
+        rows = impl.polarity_minima_batch(n, masks)
+        # The one-mask call: every function up to n=3, every 8th past it.
+        step = 1 if n <= 3 else 8
+        for mask, row in zip(masks[::step], rows[::step]):
+            assert impl.polarity_minima(n, mask) == row
+        for mask, (rm_ad, rm_sh, rm_l, af_ad, af_sh, af_l) in zip(masks, rows):
+            assert af_ad >= rm_ad and af_sh >= rm_sh and af_l >= rm_l, hex(mask)
 
 
 def test_batch_paths_agree_with_one_lane():
