@@ -26,10 +26,9 @@
  *
  * Each entry point returns a status: 0 done, 1 an SOP cover search overran
  * its wall-clock guard, -1 n outside 1..6 or an index with a bit past row
- * 2**n - 1 (for bf_min_cover: over 3**6 primes, one over 6 literals, or an
- * on row no prime covers).  The tables are sized for n <= 6 and live on
- * the stack (about 300 KB, most of it the transposition table), so
- * concurrent calls share nothing.
+ * 2**n - 1.  The tables are sized for n <= 6 and live on the stack (about
+ * 300 KB, most of it the transposition table), so concurrent calls share
+ * nothing.
  */
 #define _POSIX_C_SOURCE 199309L /* clock_gettime */
 #include <stddef.h>
@@ -149,8 +148,8 @@ static int cover_search(struct search *st, uint64_t uncov, int cost)
 }
 
 /* Cost of the exact minimum cover of the on rows by the np primes (rows,
- * literals) in lattice order; BAD_INPUT when some on row has no prime.
- * The arrays are rewritten. */
+ * literals) in lattice order; BAD_INPUT when some on row has no prime,
+ * which the primes of the on rows never leave.  The arrays are rewritten. */
 static int min_cover(uint64_t *cov, uint8_t *lits, int np, uint64_t on, double deadline, int *best)
 {
     /* Cyclic core: two exact steps repeat until the candidates stop
@@ -354,27 +353,6 @@ int bf_analyze(int n, const uint64_t *index, size_t count, int32_t *out, double 
         polarity_minima(&lat, f, out + 3);
     }
     return DONE;
-}
-
-/* out[0], out[1]: (terms, literals) of the exact minimum cover of the on
- * rows by count primes (rows, literals), as the SOP search takes them. */
-int bf_min_cover(const uint64_t *cov, const uint8_t *lits, size_t count, uint64_t on,
-                 double guard_s, int32_t *out)
-{
-    uint64_t pcov[MAXCUBES];
-    uint8_t plits[MAXCUBES];
-    if (count > MAXCUBES)
-        return BAD_INPUT;
-    for (size_t i = 0; i < count; i++) {
-        if (lits[i] > MAXN)
-            return BAD_INPUT;
-        pcov[i] = cov[i];
-        plits[i] = lits[i];
-    }
-    int cost, status = min_cover(pcov, plits, (int)count, on, now() + guard_s, &cost);
-    out[0] = cost / TERM;
-    out[1] = cost % TERM;
-    return status;
 }
 
 /* The six polarity minima of each index to out[6 * i]..out[6 * i + 5]. */

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import ctypes
 import sysconfig
-import time
 from array import array
 from pathlib import Path
 from typing import Sequence
@@ -23,7 +22,7 @@ _PATH = Path(__file__).with_name("_ckernel" + sysconfig.get_config_var("EXT_SUFF
 try:
     _lib = ctypes.CDLL(str(_PATH))
     # A library built from older source lacks the newer entry points.
-    for _entry in ("bf_analyze", "bf_polarity_minima", "bf_min_cover"):
+    for _entry in ("bf_analyze", "bf_polarity_minima"):
         getattr(_lib, _entry)
 except (OSError, AttributeError) as exc:
     raise ImportError(f"compiled kernel {_PATH.name} not loadable: {exc}") from exc
@@ -34,16 +33,6 @@ _lib.bf_analyze.argtypes = _ARGS + [ctypes.c_double]
 _lib.bf_analyze.restype = ctypes.c_int
 _lib.bf_polarity_minima.argtypes = _ARGS
 _lib.bf_polarity_minima.restype = ctypes.c_int
-# Primes' rows, their literals, their count, on rows, guard, output pair.
-_lib.bf_min_cover.argtypes = [
-    ctypes.c_void_p,
-    ctypes.c_void_p,
-    ctypes.c_size_t,
-    ctypes.c_uint64,
-    ctypes.c_double,
-    ctypes.c_void_p,
-]
-_lib.bf_min_cover.restype = ctypes.c_int
 
 
 def _call(
@@ -78,34 +67,6 @@ def min_sop_counts(n: int, on: int, guard_s: float = 60.0) -> tuple[int, int]:
     """(terms, literals) of the exact minimum SOP cover of the ``on`` mask."""
     terms, _, literals = analyze_counts(n, on, guard_s)[:3]
     return terms, literals
-
-
-def _min_cover(
-    pcov: Sequence[int], plit: Sequence[int], on: int, deadline: float
-) -> tuple[int, int]:
-    """Exact minimum (terms, literals) prime cover of the ``on`` rows.
-
-    The cover search of :func:`min_sop_counts` on given primes, as in the
-    pure twin; ``deadline`` is a :func:`time.monotonic` time.
-    """
-    if len(pcov) != len(plit):
-        raise ValueError("one literal count per prime")
-    cov = array("Q", pcov)
-    lits = array("B", plit)
-    out = array("i", [0, 0])
-    status = _lib.bf_min_cover(
-        cov.buffer_info()[0],
-        lits.buffer_info()[0],
-        len(cov),
-        on,
-        deadline - time.monotonic(),
-        out.buffer_info()[0],
-    )
-    if status == 1:
-        raise GuardTimeoutError("SOP count minimization exceeded its time guard")
-    if status:
-        raise ValueError("more than 3**6 primes, over 6 literals, or uncovered rows")
-    return out[0], out[1]
 
 
 def polarity_minima_batch(n: int, masks: Sequence[int]) -> list[tuple[int, ...]]:

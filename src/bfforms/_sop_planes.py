@@ -156,21 +156,6 @@ def _planes(n: int, masks: Sequence[int]) -> tuple[list[int], list[int], list[in
     return ess, resid, uncov
 
 
-def front_end(n: int, masks: Sequence[int]) -> Iterator[tuple[int, int, int]]:
-    """Per mask: (essential primes, residual cubes, uncovered rows).
-
-    The first two are bit masks over cube ids; the residual cubes are the
-    primes that are not essential and meet an uncovered row.
-    """
-    ess, resid, uncov = _planes(n, masks)
-    size = 3**n
-    cubes = (1 << size) - 1
-    return (
-        (c & cubes, c >> size & cubes, c >> 2 * size)
-        for c in transpose(ess + resid + uncov, len(masks))
-    )
-
-
 def _one_term(
     n: int, ess: list[int], resid: list[int], uncov: list[int], costs: Sequence[int]
 ) -> None:

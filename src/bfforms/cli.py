@@ -2,12 +2,13 @@
 
 Exit codes: 0 success; 1 usage error (a missing or unknown argument, an
 integer option that is not ASCII digits after an optional '-', --count or
---jobs below 1, --seed outside 0..2**64-1, an empty --out, a NaN guard); 2
-input format or file error (--tt not ASCII hex after an optional 0x,
---polarity not ASCII decimal, a value out of range for the function or the
-file, a bad, unreadable or non-UTF-8 PLA file, an --out that cannot be
-written); 3 resource abort (the time guard tripped, or memory ran out).
-Diagnostics go to stderr; data goes to stdout or to the files under --out.
+--jobs below 1, --seed outside 0..2**64-1, an empty --out, a guard that is
+not a number or NaN); 2 input format or file error (--tt not ASCII hex
+after an optional 0x, --polarity not ASCII decimal, a value out of range
+for the function or the file, a bad, unreadable or non-UTF-8 PLA file, an
+--out that cannot be written); 3 resource abort (the time guard tripped,
+or memory ran out).  Diagnostics go to stderr; data goes to stdout or to
+the files under --out.
 """
 
 from __future__ import annotations

@@ -1,16 +1,19 @@
 """Berkeley-PLA subset: parser, emitter, and cube expansion to truth tables.
 
 Supported directives: ``.i``, ``.o``, ``.p`` (optional, validated), ``.e``
-(required terminator).  ``#`` starts a comment.  ``.ilb``/``.ob`` label
-lines are accepted and ignored with a warning; any other directive is an
-error.  Cube rows use ``{0,1,-}`` over the inputs (leftmost character is
-x_1) and ``{0,1}`` over the outputs.  ``.i`` must lie in 1..6, the sizes
-the package minimizes, so no document expands past 64 rows, and ``.o`` in
-1..1024, so no document asks for more truth tables than that.
+(required terminator); each of the first three takes one ASCII decimal
+integer and may appear once.  ``#`` starts a comment.  ``.ilb``/``.ob``
+label lines are accepted and ignored with a warning; any other directive
+is an error.  Cube rows use ``{0,1,-}`` over the inputs (leftmost
+character is x_1) and ``{0,1}`` over the outputs.  ``.i`` must lie in
+1..6, the sizes the package minimizes, so no document expands past 64
+rows, and ``.o`` in 1..1024, so no document asks for more truth tables
+than that.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .errors import PlaFormatError
@@ -36,10 +39,15 @@ def parse_pla(text: str) -> PlaDocument:
     rows: list[tuple[str, str]] = []
     warnings: list[str] = []
     terminated = False
+    seen: set[str] = set()
 
     def intarg(parts: list[str], lineno: int, directive: str) -> int:
-        if len(parts) != 2 or not parts[1].isdigit():
+        # str.isdigit and int() also take non-ASCII digits.
+        if len(parts) != 2 or not re.fullmatch("[0-9]+", parts[1]):
             raise PlaFormatError(lineno, f"{directive} needs one integer argument")
+        if directive in seen:
+            raise PlaFormatError(lineno, f"repeated {directive} directive")
+        seen.add(directive)
         return int(parts[1])
 
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -1,11 +1,10 @@
 """Report tables and the sweep/sample output bundle (CSV + JSON).
 
 CSV conventions: '.' decimal separator, ',' field separator, LF line
-endings.  Rationals render at a configurable precision (default 3
-decimals, round-half-even), and the JSON report keeps every rational as an
-exact numerator/denominator pair next to its decimal rendering.  Output
-bytes depend only on the records, so reruns and different worker counts
-produce identical files.
+endings.  Rationals render at 3 decimals, round-half-even, and the JSON
+report keeps every rational as an exact numerator/denominator pair next to
+its decimal rendering.  Output bytes depend only on the records, so reruns
+and different worker counts produce identical files.
 
 Every report reads the cost rows of a
 :class:`~bfforms.analysis.SweepRecords`, one tuple of 15 ints per class of
@@ -53,13 +52,13 @@ def format_rational(value: int | Fraction, places: int = 3) -> str:
     return f"{sign}{whole}.{frac:0{places}d}"
 
 
-def _cell(value, places: int) -> str:
+def _cell(value) -> str:
     if isinstance(value, bool):
         raise TypeError("boolean report cells are not supported")
     if isinstance(value, int):
         return str(value)
     if isinstance(value, Fraction):
-        return format_rational(value, places)
+        return format_rational(value)
     if isinstance(value, float):
         return f"{value:.6f}"
     text = str(value)
@@ -79,23 +78,23 @@ class ReportTable:
     headers: tuple[str, ...]
     rows: Iterable[tuple | str]
 
-    def _line(self, row: tuple, places: int) -> str:
+    def _line(self, row: tuple) -> str:
         if len(row) != len(self.headers):
             raise ValueError("row width does not match headers")
-        return ",".join([_cell(v, places) for v in row])
+        return ",".join([_cell(v) for v in row])
 
-    def write_csv(self, file: TextIO, places: int) -> None:
+    def write_csv(self, file: TextIO) -> None:
         """Write the header line, then the rows a block of lines at a time."""
         file.write(",".join(self.headers) + "\n")
         rows = iter(self.rows)
         while block := list(islice(rows, BLOCK_LINES)):
             if not isinstance(block[0], str):
-                block = [self._line(row, places) for row in block]
+                block = [self._line(row) for row in block]
             file.write("\n".join(block) + "\n")
 
-    def render_csv(self, places: int = 3) -> str:
+    def render_csv(self) -> str:
         text = io.StringIO()
-        self.write_csv(text, places)
+        self.write_csv(text)
         return text.getvalue()
 
 
@@ -182,23 +181,22 @@ def records_table(records) -> ReportTable:
 def summary_json(stats: SweepStats, n: int, sampled: dict | None = None) -> dict:
     """Everything the CSV tables carry, as exact rationals, plus metadata.
 
-    Every block is read from the rows of the three statistic tables.
+    Every block is read from the rows of the three statistic tables, and
+    each criterion's S_mm (the same for every form) from ``stats``.
     ``sampled`` is None for a sweep; any dict, even ``{}``, is a sample's.
     """
     rei = rei_table(stats)
     criteria = rei.headers[2:]
-    # Literal rows, then normalized ones in the same form order.  Literal eta
-    # is T / (N s_mm), normalized T / (N (s_mm + 1)) (SweepStats.rei), so
-    # s_mm = normalized / (literal - normalized), exactly.
-    half = len(rei.rows) // 2
-    s_mm = [int(b / (a - b)) for a, b in zip(rei.rows[0][2:], rei.rows[half][2:])]
+    s_mm = [stats.rei("cfr", c).s_mm for c in criteria]
     rei_block: dict = {}
+    computed_rei: dict = {}
     for variant, form, *etas in rei.rows:
         rei_block.setdefault(variant, {})[form] = {
             c: dict(_rational_json(eta), s_mm=m)
             for c, eta, m in zip(criteria, etas, s_mm)
         }
-    computed_rei = {row[1]: dict(zip(criteria, row[2:])) for row in rei.rows[:half]}
+        if variant == "literal":
+            computed_rei[form] = dict(zip(criteria, etas))
 
     weights = weights_table(stats, sampled is not None)
     weights_block: dict = {}
@@ -273,7 +271,7 @@ def write_sweep_reports(
     for name, table in tables.items():
         path = out / name
         with path.open("w", encoding="ascii", newline="\n") as file:
-            table.write_csv(file, places=3)
+            table.write_csv(file)
         written.append(path)
     summary = summary_json(stats, n, sampled)
     path = out / "summary.json"

@@ -1,11 +1,14 @@
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bfforms import cli
 
@@ -116,6 +119,12 @@ def test_input_format_errors_exit_2(tmp_path):
     result = run_cli("analyze", "--n", "2", "--pla", str(bad))
     assert result.returncode == 2
     assert "line 3" in result.stderr
+    # A repeated .i used to exit 1 with a cube-width ValueError out of
+    # truth_tables.
+    bad.write_text(".i 2\n.o 1\n11 1\n.i 3\n111 1\n.e\n")
+    result = run_cli("convert", "--pla", str(bad), "--form", "cfr")
+    assert result.returncode == 2
+    assert result.stderr == "error: line 4: repeated .i directive\n"
     missing = run_cli("analyze", "--n", "2", "--pla", str(tmp_path / "nope.pla"))
     assert missing.returncode == 2
 
@@ -166,6 +175,13 @@ def test_nan_guard_exits_1():
         result = run_cli("analyze", "--n", "2", "--tt", "E", env=env)
         assert result.returncode == 1, result.stderr
         assert "BFFORMS_GUARD_SECS is NaN" in result.stderr
+
+
+def test_non_numeric_guard_exits_1_and_names_the_variable(monkeypatch, capsys):
+    monkeypatch.setenv("BFFORMS_GUARD_SECS", "abc")
+    assert cli.main(["analyze", "--n", "2", "--tt", "6"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: BFFORMS_GUARD_SECS is 'abc', not a number of seconds\n"
 
 
 def test_convert_rejects_input_count_outside_1_to_6(tmp_path):
@@ -286,3 +302,87 @@ def test_out_of_memory_exits_3(tmp_path, pure, jobs):
     )
     assert result.returncode == 3, result.stderr
     assert result.stderr == "error: out of memory\n"
+
+
+# Non-ASCII characters that str.isdigit accepts: superscript two, fullwidth
+# two, Arabic-Indic three and circled one.
+NON_ASCII_DIGITS = ("²", "２", "٣", "①")
+LINE = st.integers(0, 63)
+PLA_MUTATIONS = st.one_of(
+    st.tuples(st.just("drop"), LINE),
+    st.tuples(st.just("swap"), LINE, LINE),
+    st.tuples(st.just("duplicate"), LINE),
+    st.tuples(st.just("repeat"), LINE, st.integers(1, 3), LINE),
+    st.tuples(st.just("digit"), LINE, st.sampled_from(NON_ASCII_DIGITS)),
+    st.tuples(st.just("flip"), st.integers(0, 4095), st.integers(0, 7)),
+)
+
+
+def mutate_pla(data: bytes, ops) -> bytes:
+    """Apply line and byte mutations, each index taken modulo its range."""
+    for op, *args in ops:
+        if op == "flip":
+            at, bit = args
+            flipped = bytearray(data)
+            if flipped:
+                flipped[at % len(flipped)] ^= 1 << bit
+            data = bytes(flipped)
+            continue
+        lines = data.split(b"\n")
+        if op == "drop":
+            del lines[args[0] % len(lines)]
+        elif op == "swap":
+            i, j = (a % len(lines) for a in args)
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "duplicate":
+            i = args[0] % len(lines)
+            lines.insert(i, lines[i])
+        elif op in ("repeat", "digit"):
+            # Both act on a .i, .o or .p line with its integer.
+            numbered = [
+                (i, m) for i, line in enumerate(lines)
+                if (m := re.match(rb"(\.[iop])\s+([0-9]+)", line))
+            ]
+            if not numbered:
+                continue
+            i, m = numbered[args[0] % len(numbered)]
+            if op == "repeat":
+                # The same directive again, with a larger value.
+                shift, at = args[1:]
+                again = b"%s %d" % (m[1], int(m[2]) + shift)
+                lines.insert(at % (len(lines) + 1), again)
+            else:
+                digit = args[1].encode()
+                lines[i] = lines[i][: m.start(2)] + digit + lines[i][m.end(2) :]
+        data = b"\n".join(lines)
+    return data
+
+
+@pytest.fixture(scope="module")
+def mutant_path(tmp_path_factory):
+    """One file that each example overwrites."""
+    return tmp_path_factory.mktemp("mutants") / "mutant.pla"
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    source=st.sampled_from(sorted(DATA.glob("*.pla"))),
+    ops=st.lists(PLA_MUTATIONS, min_size=1, max_size=3),
+)
+def test_mutated_pla_keeps_the_exit_contract(mutant_path, source, ops):
+    # Exit 0, 2 (a bad file) or 3 (the guard), never 1 or an exception; a
+    # failure ends stderr with its one error line.
+    mutant_path.write_bytes(mutate_pla(source.read_bytes(), ops))
+    out, err = io.StringIO(), io.StringIO()
+    with (
+        pytest.MonkeyPatch.context() as patch,
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+    ):
+        patch.setenv("BFFORMS_GUARD_SECS", "0.5")
+        code = cli.main(["convert", "--pla", str(mutant_path), "--form", "cfr"])
+    assert code in (0, 2, 3), err.getvalue()
+    lines = err.getvalue().splitlines()
+    if code:
+        assert lines[-1].startswith("error: ")
+        assert sum(line.startswith("error:") for line in lines) == 1

@@ -248,6 +248,17 @@ def test_lattice_matches_base3_digits(n):
     ]
 
 
+def plane_front_end(n: int, masks: list[int]) -> list[tuple[int, int, int]]:
+    """Per mask: (essential, residual, uncovered), read from the planes."""
+    ess, resid, uncov = _sop_planes._planes(n, masks)
+    size = 3**n
+    cubes = (1 << size) - 1
+    return [
+        (c & cubes, c >> size & cubes, c >> 2 * size)
+        for c in _sop_planes.transpose(ess + resid + uncov, len(masks))
+    ]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_front_end_matches_brute_force(n):
     # Counts alone would not show a missed essential: the cover search
@@ -257,8 +268,7 @@ def test_front_end_matches_brute_force(n):
         masks = list(range(full + 1))
     else:
         masks = [0, full] + sample_uniform(n, {4: 300, 5: 30}[n], seed=90 + n)
-    got = list(_sop_planes.front_end(n, masks))
-    assert got == [brute_front_end(n, on) for on in masks]
+    assert plane_front_end(n, masks) == [brute_front_end(n, on) for on in masks]
 
 
 def brute_partial_cover(n: int, on: int) -> tuple[int, int, int]:
@@ -292,7 +302,7 @@ def test_one_term_stage_matches_brute_force(n):
     got = list(_sop_planes.partial_covers(n, masks, costs))
     assert got == [brute_partial_cover(n, on) for on in masks]
     # The stage completes some covers the front end left open.
-    before = sum(1 for _, _, uncov in _sop_planes.front_end(n, masks) if uncov)
+    before = sum(1 for _, _, uncov in plane_front_end(n, masks) if uncov)
     after = sum(1 for _, _, uncov in got if uncov)
     assert after < before or n <= 2
 
@@ -374,7 +384,10 @@ DOMINANCE_CASES = {
 }
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
+# The pure twin's cover search alone: the compiled one is reached only
+# through its SOP counts, which the golden digests and the seeded
+# comparisons above check.
+@pytest.mark.parametrize("impl", [pure], ids=lambda m: m.BACKEND)
 @pytest.mark.parametrize("name", DOMINANCE_CASES)
 def test_min_cover_dominance_edge_cases(impl, name):
     pcov, plit, on, expected = DOMINANCE_CASES[name]
@@ -382,7 +395,7 @@ def test_min_cover_dominance_edge_cases(impl, name):
     assert impl._min_cover(pcov, plit, on, time.monotonic() + 60.0) == expected
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
+@pytest.mark.parametrize("impl", [pure], ids=lambda m: m.BACKEND)
 def test_min_cover_rejects_uncovered_rows(impl):
     with pytest.raises(ValueError):
         impl._min_cover([0b01, 0b10], [1, 1], 0b111, time.monotonic() + 60.0)

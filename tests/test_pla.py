@@ -123,6 +123,46 @@ def test_output_count_1024_accepted():
     assert tables[0].bits == (0, 0) and tables[1].bits == (0, 1)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        # A second .i used to leave the earlier rows one column short, and
+        # truth_tables raised ValueError.
+        ".i 2\n.o 1\n11 1\n.i 3\n111 1\n.e\n",
+        # A second .o used to mix rows of one and two output columns.
+        ".i 2\n.o 1\n11 1\n.o 2\n00 01\n.e\n",
+        # A second .p used to replace the first; a repeat of the same value
+        # is rejected too.
+        ".i 2\n.o 1\n.p 1\n.p 2\n11 1\n.e\n",
+        ".i 2\n.o 1\n.p 1\n.p 1\n11 1\n.e\n",
+    ],
+    ids=["i", "o", "p", "p-same"],
+)
+def test_repeated_directive_rejected(text):
+    with pytest.raises(PlaFormatError) as err:
+        parse_pla(text)
+    assert err.value.line == 4
+    assert "repeated" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        # str.isdigit takes a superscript two, which int() then refuses.
+        (".i 2\n.o 1\n.p \u00b2\n11 1\n.e\n", 3),
+        # int() reads a fullwidth two as 2.
+        (".i \uff12\n.o 1\n11 1\n.e\n", 1),
+        (".i 2\n.o \u0661\n11 1\n.e\n", 2),
+    ],
+    ids=["superscript", "fullwidth", "arabic-indic"],
+)
+def test_directive_integers_are_ascii_digits(text, line):
+    with pytest.raises(PlaFormatError) as err:
+        parse_pla(text)
+    assert err.value.line == line
+    assert "needs one integer argument" in str(err.value)
+
+
 def test_missing_terminator():
     with pytest.raises(PlaFormatError):
         parse_pla(".i 2\n.o 1\n11 1\n")
