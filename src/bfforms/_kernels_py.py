@@ -318,32 +318,24 @@ def _least_cost_cover(
     return cost, taken
 
 
-def _min_cover(
-    pcov: list[int],
-    plit: list[int],
-    on: int,
-    deadline: float,
-) -> tuple[int, int]:
-    """Exact minimum (terms, literals) prime cover of the ``on`` rows.
+def _guarded_primes(n: int, on: int, guard_s: float) -> tuple[list[int], float]:
+    """(prime ids, deadline) for a cover search of the ``on`` mask.
 
-    ``pcov`` and ``plit`` hold each prime's rows and literal count.  A
-    prime costs _TERM + literals, so cover costs split into the pair.
+    A guard of 0 or less aborts any non-constant function at once; a
+    constant one is covered without branching and still gets its answer.
     """
-    cand = list(zip(pcov, [_TERM + lit for lit in plit], range(len(pcov))))
-    cost, _ = _least_cost_cover(cand, on, deadline)
-    return divmod(cost, _TERM)
+    if guard_s <= 0 and 0 < on < _lattice(n).full:
+        raise GuardTimeoutError("SOP count minimization exceeded its time guard")
+    deadline = time.monotonic() + guard_s
+    return _prime_ids(n, on), deadline
 
 
 def min_sop_counts(n: int, on: int, guard_s: float = 60.0) -> tuple[int, int]:
     """(terms, literals) of the exact minimum SOP cover of the ``on`` mask."""
     lat = _lattice(n)
-    if guard_s <= 0 and 0 < on < lat.full:
-        raise GuardTimeoutError("SOP count minimization exceeded its time guard")
-    deadline = time.monotonic() + guard_s
-    primes = _prime_ids(n, on)
-    return _min_cover(
-        [lat.covers[c] for c in primes], [lat.lits[c] for c in primes], on, deadline
-    )
+    primes, deadline = _guarded_primes(n, on, guard_s)
+    cand = [(lat.covers[c], _TERM + lat.lits[c], r) for r, c in enumerate(primes)]
+    return divmod(_least_cost_cover(cand, on, deadline)[0], _TERM)
 
 
 def polarity_minima_batch(n: int, masks: Sequence[int]) -> list[tuple[int, ...]]:

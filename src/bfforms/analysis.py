@@ -25,7 +25,7 @@ from .arith import best_arith_polarity, ArithPolynomial
 from .costs import CostVector
 from .guard import resolve_guard
 from .npclasses import np_classes
-from .reedmuller import best_polarity, PolarityVector, RmPolynomial
+from .reedmuller import best_polarity, RmPolynomial
 from .sop import minimize_sop, SopForm
 from .truthtable import TruthTable, sample_uniform
 
@@ -201,20 +201,16 @@ class FunctionAnalysis:
 
     ``record`` carries the criterion-wise minima used for classification;
     the concrete representatives (``sop``, ``rm``, ``afr``) are the ones
-    selected when optimizing ``criterion``.
+    selected when optimizing ``criterion``, each polynomial with its
+    polarity.
     """
 
     table: TruthTable
     criterion: str
     record: SweepRecord
     sop: SopForm
-    rm_polarity: PolarityVector
     rm: RmPolynomial
-    afr_polarity: PolarityVector
     afr: ArithPolynomial
-
-    def label(self, criterion: str) -> str:
-        return classify(self.record, criterion)
 
     def labels(self) -> dict[str, str]:
         return {c: classify(self.record, c) for c in costs.CRITERIA}
@@ -226,26 +222,17 @@ def analyze_function(
     """Minimize ``tt`` in all three forms; polarity searches use ``criterion``."""
     if criterion not in costs.CRITERIA:
         raise ValueError(f"unknown criterion {criterion!r}")
-    n, index = tt.n, tt.index
     sop = minimize_sop(tt, guard_s)
-    minima = kernels.polarity_minima(n, index)
-    record = SweepRecord(
-        index=index,
-        cost_cfr=costs.cost_of_sop(sop),
-        cost_rm=costs.from_counts(n, *minima[:3], dual_rail=False),
-        cost_afr=costs.from_counts(n, *minima[3:], dual_rail=False),
-    )
-    pk, rm_poly = best_polarity(tt, criterion)
-    ak, af_poly = best_arith_polarity(tt, criterion)
+    lits = [c.literal_count for c in sop.terms]
+    counts = (len(lits), len(lits) - lits.count(0), sum(lits))
+    counts += kernels.polarity_minima(tt.n, tt.index)
     return FunctionAnalysis(
         table=tt,
         criterion=criterion,
-        record=record,
+        record=_record_of_row(tt.index, _cost_rows(tt.n, [counts])[0]),
         sop=sop,
-        rm_polarity=pk,
-        rm=rm_poly,
-        afr_polarity=ak,
-        afr=af_poly,
+        rm=best_polarity(tt, criterion)[1],
+        afr=best_arith_polarity(tt, criterion)[1],
     )
 
 

@@ -57,27 +57,23 @@ class ArithPolynomial:
 
     def __str__(self) -> str:
         k = self.polarity.k
-        pieces = []
+        out = ""
         for j, c in enumerate(self.coeffs):
             if c == 0:
                 continue
-            sign = "-" if c < 0 else "+"
-            mag = -c if c < 0 else c
+            # The first term carries only a minus sign, the others either.
+            if out:
+                out += " - " if c < 0 else " + "
+            elif c < 0:
+                out = "-"
             term = product_string(self.n, j, j & ~k)
             if term == "1":
-                body = str(mag)
-            elif mag == 1:
-                body = term
+                out += str(abs(c))
+            elif abs(c) == 1:
+                out += term
             else:
-                body = f"{mag}*{term}"
-            pieces.append((sign, body))
-        if not pieces:
-            return "0"
-        first_sign, first_body = pieces[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in pieces[1:]:
-            out += f" {sign} {body}"
-        return out
+                out += f"{abs(c)}*{term}"
+        return out or "0"
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,13 @@
 Exit codes: 0 success; 1 usage error (a missing or unknown argument, an
 integer option that is not ASCII digits after an optional '-', --count or
 --jobs below 1, --seed outside 0..2**64-1, an empty --out, a guard that is
-not a number or NaN); 2 input format or file error (--tt not ASCII hex
-after an optional 0x, --polarity not ASCII decimal, a value out of range
-for the function or the file, a bad, unreadable or non-UTF-8 PLA file, an
---out that cannot be written); 3 resource abort (the time guard tripped,
-or memory ran out).  Diagnostics go to stderr; data goes to stdout or to
-the files under --out.
+not a number or NaN, a sweep or sample whose every cost is zero, which
+leaves no --out directory); 2 input format or file error (--tt not ASCII
+hex after an optional 0x, --polarity not ASCII decimal, a value out of
+range for the function or the file, a bad, unreadable or non-UTF-8 PLA
+file, an --out that cannot be written); 3 resource abort (the time guard
+tripped, or memory ran out).  Diagnostics go to stderr; data goes to
+stdout or to the files under --out.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 from . import __version__
 from .analysis import analyze_function, sampled_sweep, sweep
 from .arith import arithmetic_transform, best_arith_polarity
-from .costs import CRITERIA, cost_of_arith, cost_of_rm
+from .costs import CRITERIA, cost_of_polynomial
 from .errors import GuardTimeoutError, PlaFormatError
 from .pla import PlaDocument, emit_pla, parse_pla, sop_to_pla, truth_tables
 from .reedmuller import PolarityVector, best_polarity, fprm_transform
@@ -152,16 +153,20 @@ def _load_table(args) -> TruthTable:
 def _cmd_analyze(args) -> int:
     tt = _load_table(args)
     fa = analyze_function(tt, args.criterion)
-    cost_sop = fa.record.cost_cfr
-    cost_rm = cost_of_rm(fa.rm)
-    cost_af = cost_of_arith(fa.afr)
     labels = fa.labels()
+    # Each form once: (name, representation, its own JSON fields, cost).
+    forms = [("cfr", fa.sop, {"cover": [c.to_string() for c in fa.sop.terms]},
+              fa.record.cost_cfr)]
+    for name, poly in (("rm", fa.rm), ("afr", fa.afr)):
+        fields = {"polarity": poly.polarity.k, "coeffs": list(poly.coeffs)}
+        forms.append((name, poly, fields, cost_of_polynomial(poly)))
 
     if args.format == "text":
         print(f"n={tt.n} index={tt.index:#x} criterion={args.criterion}")
-        print(f"cfr: {fa.sop}  {cost_sop.as_dict()}")
-        print(f"rm (polarity={fa.rm_polarity.k}): {fa.rm}  {cost_rm.as_dict()}")
-        print(f"afr (polarity={fa.afr_polarity.k}): {fa.afr}  {cost_af.as_dict()}")
+        for name, rep, fields, cost in forms:
+            if "polarity" in fields:
+                name += f" (polarity={fields['polarity']})"
+            print(f"{name}: {rep}  {cost.as_dict()}")
         print("labels: " + " ".join(f"{c}={labels[c]}" for c in CRITERIA))
     elif args.format == "json":
         payload = {
@@ -170,42 +175,21 @@ def _cmd_analyze(args) -> int:
             "index": tt.index,
             "criterion": args.criterion,
             "forms": {
-                "cfr": {
-                    "cover": [c.to_string() for c in fa.sop.terms],
-                    "text": str(fa.sop),
-                    "cost": cost_sop.as_dict(),
-                },
-                "rm": {
-                    "polarity": fa.rm_polarity.k,
-                    "coeffs": list(fa.rm.coeffs),
-                    "text": str(fa.rm),
-                    "cost": cost_rm.as_dict(),
-                },
-                "afr": {
-                    "polarity": fa.afr_polarity.k,
-                    "coeffs": list(fa.afr.coeffs),
-                    "text": str(fa.afr),
-                    "cost": cost_af.as_dict(),
-                },
+                name: dict(fields, text=str(rep), cost=cost.as_dict())
+                for name, rep, fields, cost in forms
             },
             "labels": labels,
             "minima": {
-                "cfr": fa.record.cost_cfr.as_dict(),
-                "rm": fa.record.cost_rm.as_dict(),
-                "afr": fa.record.cost_afr.as_dict(),
+                name: getattr(fa.record, f"cost_{name}").as_dict() for name, *_ in forms
             },
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         lines = ["record,field,value"]
-        for name, cv in (("cfr", cost_sop), ("rm", cost_rm), ("afr", cost_af)):
-            for criterion, value in cv.as_dict().items():
-                lines.append(f"cost,{name}.{criterion},{value}")
-        for criterion in CRITERIA:
-            lines.append(f"label,{criterion},{labels[criterion]}")
-        lines.append(f'repr,cfr,"{fa.sop}"')
-        lines.append(f'repr,rm,"{fa.rm}"')
-        lines.append(f'repr,afr,"{fa.afr}"')
+        for name, _, _, cost in forms:
+            lines += [f"cost,{name}.{c},{v}" for c, v in cost.as_dict().items()]
+        lines += [f"label,{c},{labels[c]}" for c in CRITERIA]
+        lines += [f'repr,{name},"{rep}"' for name, rep, _, _ in forms]
         print("\n".join(lines))
     return EXIT_OK
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -72,7 +72,7 @@ class ReportTable:
     """A table of exact rationals/integers/floats/strings.
 
     Its rows are tuples of cells, or all lines its builder already rendered;
-    the records table yields such lines lazily, to be read once.
+    the records table renders such lines lazily, afresh on each write.
     """
 
     headers: tuple[str, ...]
@@ -174,8 +174,20 @@ def records_table(records) -> ReportTable:
         headers.extend(f"{form}_{c}" for c in CRITERIA)
     cell_format = ",".join(["%s"] * (len(headers) - 1))
     cells = [cell_format % row for row in recs.class_rows]
-    lines = (f"{i},{cells[c]}" for i, c in zip(recs.indices, recs.class_of))
-    return ReportTable(tuple(headers), lines)
+    return ReportTable(tuple(headers), _RecordLines(recs.indices, recs.class_of, cells))
+
+
+@dataclass(frozen=True)
+class _RecordLines:
+    """The records table's lines: each pass renders them again, one by one."""
+
+    indices: Sequence[int]
+    class_of: Sequence[int]
+    cells: Sequence[str]
+
+    def __iter__(self):
+        cells = self.cells
+        return (f"{i},{cells[c]}" for i, c in zip(self.indices, self.class_of))
 
 
 def summary_json(stats: SweepStats, n: int, sampled: dict | None = None) -> dict:
@@ -257,9 +269,6 @@ def write_sweep_reports(
     sequence of :class:`~bfforms.analysis.SweepRecord`.  ``sampled`` is
     None for an exhaustive sweep, else the sample's metadata.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
     records = SweepRecords.of(records)
     stats = aggregate(records)
     tables = {
@@ -268,12 +277,17 @@ def write_sweep_reports(
         "weights.csv": weights_table(stats, sampled is not None),
         "losses.csv": losses_table(stats),
     }
+    summary = summary_json(stats, n, sampled)
+    # Tables and summary come first: a statistic that cannot be computed
+    # leaves no directory behind.
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    written = []
     for name, table in tables.items():
         path = out / name
         with path.open("w", encoding="ascii", newline="\n") as file:
             table.write_csv(file)
         written.append(path)
-    summary = summary_json(stats, n, sampled)
     path = out / "summary.json"
     path.write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n",

@@ -23,11 +23,9 @@ have distinct costs, so the search's pruning keeps this unique optimum.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
-from ._kernels_py import _lattice, _least_cost_cover, _prime_ids
-from .errors import GuardTimeoutError
+from ._kernels_py import _guarded_primes, _lattice, _least_cost_cover, _prime_ids
 from .guard import resolve_guard
 from .truthtable import Assignment, TruthTable, product_string
 
@@ -176,22 +174,16 @@ def minimize_sop(tt: TruthTable, guard_s: float | None = None) -> SopForm:
     budget (see :mod:`bfforms.guard`), which covers the whole call; a wrong
     or approximate answer is never returned.
     """
-    n = tt.n
-    guard = resolve_guard(guard_s)
-    on = tt.index
+    n, on = tt.n, tt.index
     lat = _lattice(n)
-    if guard <= 0 and 0 < on < lat.full:
-        raise GuardTimeoutError("SOP minimization exceeded its time guard")
-    deadline = time.monotonic() + guard
-
-    primes = _prime_ids(n, on)
+    primes, deadline = _guarded_primes(n, on, resolve_guard(guard_s))
     count = len(primes)
     s2 = count + 7
     s1 = s2 + 9
-    costs = [
-        (1 << s1) + (lat.lits[c] << s2) + (1 << count) - (1 << (count - 1 - r))
+    base = (1 << s1) + (1 << count)
+    cand = [
+        (lat.covers[c], base + (lat.lits[c] << s2) - (1 << (count - 1 - r)), r)
         for r, c in enumerate(primes)
     ]
-    cand = list(zip([lat.covers[c] for c in primes], costs, range(count)))
     _, chosen = _least_cost_cover(cand, on, deadline)
     return SopForm(n, tuple(_cube(n, primes[i]) for i in sorted(chosen)))

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bfforms import cli, costs
+from conftest import kernel_backends
+from bfforms import cli, costs, kernels
 from bfforms.analysis import (
     SCENARIOS,
     SUBSET_LABELS,
@@ -20,7 +21,7 @@ from bfforms.analysis import (
     specific_weights,
     sweep,
 )
-from bfforms.costs import CRITERIA
+from bfforms.costs import CRITERIA, cost_of_arith, cost_of_rm
 from bfforms.truthtable import TruthTable, sample_uniform
 
 
@@ -46,6 +47,27 @@ def test_analyze_function_maj3(maj3):
     assert fa.record.cost_afr.s_ad == 4
     assert len([c for c in fa.rm.coeffs if c]) == 3
     assert len([c for c in fa.afr.coeffs if c]) == 4
+
+
+# Every function of n <= 3, then seeded draws at n = 4, 5 and 6.
+AGREEMENT_CASES = [(n, i) for n in (1, 2, 3) for i in range(1 << (1 << n))] + [
+    (n, i) for n, count in ((4, 12), (5, 4), (6, 2)) for i in sample_uniform(n, count, n)
+]
+
+
+@pytest.mark.parametrize("impl", kernel_backends(), ids=lambda m: m.BACKEND)
+def test_analyze_function_agrees_with_the_kernel(impl, monkeypatch):
+    # The record is the kernel's, and each polynomial witness attains the
+    # kernel's minimum under the criterion it was chosen for.
+    monkeypatch.setattr(kernels, "_impl", impl)
+    for n, index in AGREEMENT_CASES:
+        tt = TruthTable.from_index(n, index)
+        record = analyze_record(tt)
+        for c in CRITERIA:
+            fa = analyze_function(tt, c)
+            assert fa.record == record, (n, hex(index), c)
+            assert cost_of_rm(fa.rm).get(c) == record.cost_rm.get(c), (n, hex(index), c)
+            assert cost_of_arith(fa.afr).get(c) == record.cost_afr.get(c), (n, hex(index), c)
 
 
 def test_analyze_function_xor3(xor3):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import random
 import re
 import subprocess
 import sys
@@ -239,6 +240,17 @@ def test_sample_flagged_and_deterministic(tmp_path):
     assert stderr_column == "criterion,label,weight,stderr"
 
 
+def test_zero_cost_sample_exits_1_and_writes_no_directory(tmp_path, capsys):
+    # Seed 3 draws only the constant-0 function at n=1, count 1: every cost
+    # is zero, so the literal efficiency index is undefined.
+    out = tmp_path / "report"
+    argv = ["sample", "--n", "1", "--count", "1", "--seed", "3", "--out", str(out)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: degenerate s_mm: every cost is zero under the literal variant\n"
+    assert not out.exists()
+
+
 def test_convert_cfr_emits_pla(tmp_path):
     result = run_cli("convert", "--pla", str(DATA / "xor3.pla"), "--form", "cfr")
     assert result.returncode == 0
@@ -386,3 +398,118 @@ def test_mutated_pla_keeps_the_exit_contract(mutant_path, source, ops):
     if code:
         assert lines[-1].startswith("error: ")
         assert sum(line.startswith("error:") for line in lines) == 1
+
+
+# Option values.  Each option takes a valid-looking value three times in
+# four and a hostile one otherwise, so that many examples get past the
+# parser.  Path options take only paths, resolved per example by
+# ``resolve_path``: a missing path, a directory or an empty file under the
+# test's directory, or a file in tests/data.  ``--count`` and ``--jobs``
+# take the hostile text that is no integer, and as integers only -1 to 2,
+# so that no example draws more than 2 functions or starts a worker.
+HOSTILE = ("", " 2", "+2", "１", "-0", "nan", "inf", str(1 << 64), str(-(1 << 64)),
+           "0x", "é", "名前")
+INTEGERS = ("0", "1", "3", "6")
+TEXT = ("1", "6", "E8", "0xE8", "best")
+DATA_FILES = tuple(sorted(p.name for p in DATA.glob("*.pla")))
+
+
+def option_values(action) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """(valid-looking, hostile) values of one option of a subparser."""
+    if action.dest == "pla":
+        return DATA_FILES, ("<missing>", "<dir>", "<empty>")
+    if action.dest == "out":
+        return ("<missing>", "<dir>"), ("<empty>",) + DATA_FILES
+    if action.dest in ("count", "jobs"):
+        return ("1", "2"), ("-1", "0") + tuple(
+            v for v in HOSTILE if not re.fullmatch(cli._DECIMAL, v)
+        )
+    valid = tuple(map(str, action.choices or ()))
+    return valid or (INTEGERS if action.type is cli._decimal else TEXT), HOSTILE
+
+
+def subcommand_options():
+    """{subcommand: [(option, dest, required, values)]}, read from the parser."""
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if a.dest == "command"]
+    return {
+        name: [
+            (action.option_strings[0], action.dest, action.required, option_values(action))
+            for action in subparser._actions
+            if action.dest != "help"
+        ]
+        for name, subparser in sub.choices.items()
+    }
+
+
+SUBCOMMAND_OPTIONS = subcommand_options()
+
+
+@st.composite
+def cli_argv(draw):
+    """An argv of one subcommand, or a top-level flag, or nothing at all."""
+    name = draw(st.sampled_from(sorted(SUBCOMMAND_OPTIONS) + ["--help", "--version", ""]))
+    if name not in SUBCOMMAND_OPTIONS:
+        return [name] if name else []
+    # Hypothesis favours the ends of its ranges, even in st.randoms; a
+    # Random seeded from the draw gives the weights stated above.
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    argv = [name]
+    for option, dest, required, (valid, hostile) in SUBCOMMAND_OPTIONS[name]:
+        # --count defaults to 65,536 draws, so it is always given.  Other
+        # options are given in 9 of 10 examples if required, else in half.
+        if dest == "count" or rnd.random() < (0.9 if required else 0.5):
+            argv += [option, rnd.choice(hostile if rnd.random() < 0.25 else valid)]
+    if rnd.random() < 0.05:
+        argv.append("--help")
+    return argv
+
+
+@pytest.fixture(scope="module")
+def path_dir(tmp_path_factory):
+    base = tmp_path_factory.mktemp("argv")
+    (base / "dir").mkdir()
+    (base / "empty").write_bytes(b"")
+    return base
+
+
+def resolve_path(base: Path, value: str) -> str:
+    if value == "<missing>":
+        # A new name each time: sweep and sample create their --out.
+        return str(base / f"missing{len(list(base.iterdir()))}")
+    if value in ("<dir>", "<empty>"):
+        return str(base / value[1:-1])
+    if value in DATA_FILES:
+        return str(DATA / value)
+    return value
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(argv=cli_argv())
+def test_argv_keeps_the_exit_contract(path_dir, argv):
+    # Exit 0 to 3 and no exception; a failure ends stderr with its one
+    # error line and creates no missing --out.  --help and --version leave
+    # through SystemExit(0).
+    argv = [resolve_path(path_dir, v) for v in argv]
+    before = set(path_dir.iterdir())
+    out, err = io.StringIO(), io.StringIO()
+    with (
+        pytest.MonkeyPatch.context() as patch,
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+    ):
+        # Nothing is written to a relative path, but if it were, it would
+        # land here.
+        patch.chdir(path_dir)
+        patch.setenv("BFFORMS_GUARD_SECS", "0.5")
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            assert exc.code == 0, err.getvalue()
+            code = 0
+    assert code in (0, 1, 2, 3), err.getvalue()
+    lines = err.getvalue().splitlines()
+    if code:
+        assert lines[-1].startswith("error:"), err.getvalue()
+        assert sum(line.startswith("error:") for line in lines) == 1, err.getvalue()
+        assert set(path_dir.iterdir()) == before

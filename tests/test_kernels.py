@@ -392,13 +392,20 @@ DOMINANCE_CASES = {
 def test_min_cover_dominance_edge_cases(impl, name):
     pcov, plit, on, expected = DOMINANCE_CASES[name]
     assert plain_min_cover(pcov, plit, on) == expected
-    assert impl._min_cover(pcov, plit, on, time.monotonic() + 60.0) == expected
+    assert count_cover(impl, pcov, plit, on) == expected
 
 
 @pytest.mark.parametrize("impl", [pure], ids=lambda m: m.BACKEND)
 def test_min_cover_rejects_uncovered_rows(impl):
     with pytest.raises(ValueError):
-        impl._min_cover([0b01, 0b10], [1, 1], 0b111, time.monotonic() + 60.0)
+        count_cover(impl, [0b01, 0b10], [1, 1], 0b111)
+
+
+def count_cover(impl, pcov, plit, on):
+    """(terms, literals) of the cover search with the count path's costs."""
+    cand = list(zip(pcov, [impl._TERM + lit for lit in plit], range(len(pcov))))
+    cost, _ = impl._least_cost_cover(cand, on, time.monotonic() + 60.0)
+    return divmod(cost, impl._TERM)
 
 
 @pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)

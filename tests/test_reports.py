@@ -13,6 +13,7 @@ from bfforms.costs import CRITERIA, CostVector
 from bfforms.reports import (
     ReportTable,
     format_rational,
+    records_table,
     rei_table,
     summary_json,
     weights_table,
@@ -114,6 +115,14 @@ def test_write_sweep_reports_files(tmp_path, sweep3):
     records_csv = (tmp_path / "records.csv").read_text()
     assert len(records_csv.splitlines()) == 257
     assert records_csv.splitlines()[0].startswith("index,cfr_s_ad")
+
+
+def test_records_table_renders_the_same_bytes_twice():
+    # Each write renders every line again, so two writes give the same bytes.
+    table = records_table(sweep(2))
+    first = table.render_csv()
+    assert len(first.splitlines()) == 17
+    assert table.render_csv() == first
 
 
 def test_no_reference_section_for_n2(tmp_path):
