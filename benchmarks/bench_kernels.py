@@ -10,17 +10,18 @@ of the whole batch in bit planes, completes in the planes every cover that
 one more prime completes (`_sop_planes.partial_covers`), and runs a cover
 search only for the functions still left with rows uncovered; it prints
 how many of the batch those are.  For the pure backend it also times its
-layers on the same indices: the one-function SOP path that
-`analyze_counts` runs (`min_sop_counts`) and its prime filter
-(`_prime_ids`), the batch plane stages, and the polarity scan of both
-polynomial forms, once as the lane-parallel batch that sweeps use
-(`polarity_minima_batch`) and once one function per call
-(`polarity_minima`, as `analyze` uses it).  It then
+layers on the same indices: the one-function SOP path (`min_sop_counts`,
+the reference the tests check the batch path against) and its prime
+filter (`_prime_ids`), the batch plane stages, and the polarity scan of
+both polynomial forms, once as the lane-parallel batch that sweeps use
+(`polarity_minima_batch`) and once as a batch of one per function (what
+`kernels.polarity_minima` runs for `analyze`).  It then
 times the NP-class enumeration that exhaustive sweeps run before the
 kernel, for n=3 and n=4, and prints the class counts.  Last, it runs the
 SOP cover search on the 126 non-constant symmetric functions of six
 inputs, the hardest known inputs for it, and prints how many finish under
-a 1 s guard and the slowest finish: the count search of each backend, then
+a 1 s guard and the slowest finish: the count search of each backend (the
+pure `min_sop_counts`, the compiled `analyze_batch` of one function), then
 `minimize_sop`, whose cover search is the pure one on either backend.
 Usage:
 
@@ -116,9 +117,14 @@ def main():
             rates[impl.BACKEND] = rate
             print(f"  {impl.BACKEND:9s} {elapsed:8.3f}s  {rate:10.0f} fn/s")
             if impl is _kernels_py:
-                for fn in (impl.min_sop_counts, impl._prime_ids, impl.polarity_minima):
+                layers = [
+                    ("min_sop_counts", lambda n, i: impl.min_sop_counts(n, i, 60.0)),
+                    ("_prime_ids", impl._prime_ids),
+                    ("polarity_minima", lambda n, i: impl.polarity_minima_batch(n, [i])),
+                ]
+                for label, fn in layers:
                     elapsed = bench_layer(fn, n, indices)
-                    print(f"    {fn.__name__:21s} {elapsed:8.3f}s")
+                    print(f"    {label:21s} {elapsed:8.3f}s")
                 costs = [impl._TERM + lit for lit in impl._lattice(n).lits]
 
                 def partial_covers(n, indices):
@@ -145,10 +151,10 @@ def main():
         print(f"n={n} NP classes: {len(classes.representatives)} in {elapsed:.3f}s")
     total = len(symmetric_functions(6))
     print(f"n=6 symmetric, SOP cover search under a {SYMMETRIC_GUARD_S:g}s guard")
-    searches = [
-        (impl.BACKEND, lambda i, g, impl=impl: impl.min_sop_counts(6, i, g))
-        for impl in BACKENDS
-    ]
+    searches = [("pure", lambda i, g: _kernels_py.min_sop_counts(6, i, g))]
+    if len(BACKENDS) == 2:
+        compiled = BACKENDS[1]
+        searches.append(("compiled", lambda i, g: compiled.analyze_batch(6, [i], g)))
     searches.append(
         ("minimize_sop", lambda i, g: minimize_sop(TruthTable.from_index(6, i), g))
     )

@@ -3,7 +3,7 @@
  *
  * Truth tables are uint64 masks of n <= 6 variables, bit x = value on row
  * x.  For each function the kernel gives the nine cost counts of
- * _kernels_py.analyze_counts:
+ * _kernels_py.analyze_batch:
  *
  *   - the minimal SOP (terms, conjunctions, literals): the implicants among
  *     the 3**n ternary cubes and the prime ones among those; then the
@@ -25,14 +25,19 @@
  * that differ in digit p only.
  *
  * Each entry point returns a status: 0 done, 1 an SOP cover search overran
- * its wall-clock guard, -1 n outside 1..6 or an index with a bit past row
- * 2**n - 1.  The tables are sized for n <= 6 and live on the stack (about
- * 300 KB, most of it the transposition table), so concurrent calls share
- * nothing.
+ * its wall-clock guard, 2 the search state could not be allocated, -1 n
+ * outside 1..6 or an index with a bit past row 2**n - 1.  The tables are
+ * sized for n <= 6.  The cover search's state, 256 KB of it the
+ * transposition table, is allocated once per bf_analyze call.  The rest
+ * lives on the stack: with gcc -O2, 15 KB in bf_analyze's frame, then 6 KB
+ * for the polarity pass or 64 bytes per cover-search level (at most 64
+ * levels), so about 21 KB, and a thread with a small stack can run the
+ * kernel.  Concurrent calls share nothing.
  */
 #define _POSIX_C_SOURCE 199309L /* clock_gettime */
 #include <stddef.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 #include <time.h>
 
@@ -40,7 +45,7 @@
 #define MAXCUBES 729 /* 3**MAXN */
 #define MAXROWS 64
 
-enum { DONE = 0, GUARD = 1, BAD_INPUT = -1 };
+enum { DONE = 0, GUARD = 1, NO_MEMORY = 2, BAD_INPUT = -1 };
 
 /* Rows with x_p = 0, per variable p. */
 static const uint64_t PAT0[MAXN] = {
@@ -149,8 +154,10 @@ static int cover_search(struct search *st, uint64_t uncov, int cost)
 
 /* Cost of the exact minimum cover of the on rows by the np primes (rows,
  * literals) in lattice order; BAD_INPUT when some on row has no prime,
- * which the primes of the on rows never leave.  The arrays are rewritten. */
-static int min_cover(uint64_t *cov, uint8_t *lits, int np, uint64_t on, double deadline, int *best)
+ * which the primes of the on rows never leave.  The arrays are rewritten,
+ * and st holds the search's state. */
+static int min_cover(struct search *st, uint64_t *cov, uint8_t *lits, int np, uint64_t on,
+                     double deadline, int *best)
 {
     /* Cyclic core: two exact steps repeat until the candidates stop
      * changing.  Essentials: a candidate that alone covers some uncovered
@@ -201,13 +208,12 @@ static int min_cover(uint64_t *cov, uint8_t *lits, int np, uint64_t on, double d
     if (!uncov)
         return DONE;
 
-    struct search st;
-    st.cov = cov;
-    st.lits = lits;
-    st.ncand = nc;
-    st.best = cost;
-    st.nodes = 0;
-    st.deadline = deadline;
+    st->cov = cov;
+    st->lits = lits;
+    st->ncand = nc;
+    st->best = cost;
+    st->nodes = 0;
+    st->deadline = deadline;
 
     /* Greedy cover seeds the branch-and-bound upper bound. */
     for (uint64_t g = uncov; g;) {
@@ -220,7 +226,7 @@ static int min_cover(uint64_t *cov, uint8_t *lits, int np, uint64_t on, double d
         if (!gain)
             return BAD_INPUT; /* on rows outside every prime */
         g &= ~cov[pick];
-        st.best += TERM + lits[pick];
+        st->best += TERM + lits[pick];
     }
 
     /* Candidates are fixed for the search, so each core row's count of
@@ -233,20 +239,21 @@ static int min_cover(uint64_t *cov, uint8_t *lits, int np, uint64_t on, double d
             c += (cov[i] & row) != 0;
         int k = nrows++;
         for (; k > 0 && count[k - 1] > c; k--) {
-            st.order[k] = st.order[k - 1];
+            st->order[k] = st->order[k - 1];
             count[k] = count[k - 1];
         }
-        st.order[k] = row;
+        st->order[k] = row;
         count[k] = c;
     }
 
-    int status = cover_search(&st, uncov, cost);
-    *best = st.best;
+    int status = cover_search(st, uncov, cost);
+    *best = st->best;
     return status;
 }
 
 /* (terms, literals) of the exact minimum SOP cover of the on rows. */
-static int min_sop(const struct lattice *lat, uint64_t on, double guard_s, int *terms, int *lits)
+static int min_sop(const struct lattice *lat, struct search *st, uint64_t on, double guard_s,
+                   int *terms, int *lits)
 {
     if (guard_s <= 0 && on != 0 && on != lat->full)
         return GUARD;
@@ -275,7 +282,7 @@ static int min_sop(const struct lattice *lat, uint64_t on, double guard_s, int *
             plits[np++] = lat->lits[c];
         }
 
-    int cost, status = min_cover(pcov, plits, np, on, deadline, &cost);
+    int cost, status = min_cover(st, pcov, plits, np, on, deadline, &cost);
     *terms = cost / TERM;
     *lits = cost % TERM;
     return status;
@@ -332,27 +339,34 @@ static void polarity_minima(const struct lattice *lat, uint64_t f, int32_t *out)
         out[i] = best[i];
 }
 
-/* The nine counts of each index, in _kernels_py.analyze_counts order, to
+/* The nine counts of each index, in _kernels_py.analyze_batch order, to
  * out[9 * i]..out[9 * i + 8].  Each SOP cover search has guard_s seconds. */
 int bf_analyze(int n, const uint64_t *index, size_t count, int32_t *out, double guard_s)
 {
     struct lattice lat;
     if (lattice_init(&lat, n) != DONE)
         return BAD_INPUT;
+    struct search *st = malloc(sizeof *st);
+    if (!st)
+        return NO_MEMORY;
+    int status = DONE;
     for (size_t i = 0; i < count; i++, out += 9) {
         uint64_t f = index[i];
         int terms, lits;
-        if (f & ~lat.full)
-            return BAD_INPUT;
-        int status = min_sop(&lat, f, guard_s, &terms, &lits);
+        if (f & ~lat.full) {
+            status = BAD_INPUT;
+            break;
+        }
+        status = min_sop(&lat, st, f, guard_s, &terms, &lits);
         if (status != DONE)
-            return status;
+            break;
         out[0] = terms;
         out[1] = f == lat.full ? terms - 1 : terms;
         out[2] = lits;
         polarity_minima(&lat, f, out + 3);
     }
-    return DONE;
+    free(st);
+    return status;
 }
 
 /* The six polarity minima of each index to out[6 * i]..out[6 * i + 5]. */

@@ -44,6 +44,8 @@ def _call(
     status = entry(n, index.buffer_info()[0], len(index), out.buffer_info()[0], *args)
     if status == 1:
         raise GuardTimeoutError("SOP count minimization exceeded its time guard")
+    if status == 2:
+        raise MemoryError("the compiled kernel could not allocate its search state")
     if status:
         raise ValueError(
             f"kernels support n in 1..6 and indices below 2**2**n, got n={n}"
@@ -52,28 +54,12 @@ def _call(
 
 
 def analyze_batch(
-    n: int, indices: Sequence[int], guard_s: float = 60.0
+    n: int, indices: Sequence[int], guard_s: float
 ) -> list[tuple[int, ...]]:
-    """analyze_counts over an index sequence, in order."""
+    """The nine cost counts of each index; layout as in the pure twin."""
     return _call(_lib.bf_analyze, 9, n, indices, guard_s)
 
 
-def analyze_counts(n: int, index: int, guard_s: float = 60.0) -> tuple[int, ...]:
-    """Nine cost counts for one function index; layout as in the pure twin."""
-    return analyze_batch(n, [index], guard_s)[0]
-
-
-def min_sop_counts(n: int, on: int, guard_s: float = 60.0) -> tuple[int, int]:
-    """(terms, literals) of the exact minimum SOP cover of the ``on`` mask."""
-    terms, _, literals = analyze_counts(n, on, guard_s)[:3]
-    return terms, literals
-
-
 def polarity_minima_batch(n: int, masks: Sequence[int]) -> list[tuple[int, ...]]:
-    """:func:`polarity_minima` of every mask."""
+    """The six polarity minima of each mask; layout as in the pure twin."""
     return _call(_lib.bf_polarity_minima, 6, n, masks)
-
-
-def polarity_minima(n: int, mask: int) -> tuple[int, ...]:
-    """(rm_ad, rm_sh, rm_l, af_ad, af_sh, af_l): both forms' minima at once."""
-    return polarity_minima_batch(n, [mask])[0]

@@ -1,18 +1,20 @@
 """Pure-Python sweep kernels.
 
 Semantics twin of the compiled ``bfforms._kernels_c``, the C file
-``_ckernel.c`` loaded through ctypes: for one function index it produces
-the nine cost counts that drive every sweep statistic (minimal SOP
-terms/conjunctions/literals, then per-criterion minima over all polarities
-for the Reed-Muller and arithmetic forms).
+``_ckernel.c`` loaded through ctypes.  Both export the same two batch
+entries, which ``bfforms.kernels`` calls: ``analyze_batch`` gives each
+function index the nine cost counts that drive every sweep statistic
+(minimal SOP terms/conjunctions/literals, then per-criterion minima over
+all polarities for the Reed-Muller and arithmetic forms), and
+``polarity_minima_batch`` the polynomial minima alone.
 Truth tables are plain integers, bit ``x`` = value on row ``x``.
 
 The SOP side has two front ends, which find the same primes among the
 3**n ternary cubes, both with the cube ids of ``_lattice``.  One function
-at a time (``min_sop_counts``, ``analyze_counts``, ``sop.minimize_sop``),
-``_prime_ids`` marks the implicants in one integer with one bit per
-lattice id, so each filtering step is a shift by a power of 3 and a mask
-over all cubes at once.
+at a time (``min_sop_counts``, the reference the tests check the batch
+path against, and ``sop.minimize_sop``), ``_prime_ids`` marks the
+implicants in one integer with one bit per lattice id, so each filtering
+step is a shift by a power of 3 and a mask over all cubes at once.
 
 ``analyze_batch``, the path of ``bfforms sweep`` and ``sample``, works on
 the whole batch in bit planes (``_sop_planes``): one integer per row or
@@ -330,7 +332,7 @@ def _guarded_primes(n: int, on: int, guard_s: float) -> tuple[list[int], float]:
     return _prime_ids(n, on), deadline
 
 
-def min_sop_counts(n: int, on: int, guard_s: float = 60.0) -> tuple[int, int]:
+def min_sop_counts(n: int, on: int, guard_s: float) -> tuple[int, int]:
     """(terms, literals) of the exact minimum SOP cover of the ``on`` mask."""
     lat = _lattice(n)
     primes, deadline = _guarded_primes(n, on, guard_s)
@@ -339,10 +341,14 @@ def min_sop_counts(n: int, on: int, guard_s: float = 60.0) -> tuple[int, int]:
 
 
 def polarity_minima_batch(n: int, masks: Sequence[int]) -> list[tuple[int, ...]]:
-    """:func:`polarity_minima` of every mask.
+    """Per-criterion minima over all polarities of both polynomial forms.
 
-    Each group of ``_LANES`` masks shares one pass, one lane per mask; the
-    module docstring gives the lane layout.
+    Per mask: (rm_ad, rm_sh, rm_l, af_ad, af_sh, af_l), the minimum
+    summands, conjunction-summands and literals of the Reed-Muller and then
+    the arithmetic form.  The three minima of a form may come from
+    different polarities.  Holds for n <= 6, the range the lane fields
+    cover.  Each group of ``_LANES`` masks shares one pass, one lane per
+    mask; the module docstring gives the lane layout.
     """
     rows = 1 << n
     out: list[tuple[int, ...]] = []
@@ -404,43 +410,24 @@ def polarity_minima_batch(n: int, masks: Sequence[int]) -> list[tuple[int, ...]]
     return out
 
 
-def polarity_minima(n: int, mask: int) -> tuple[int, ...]:
-    """Per-criterion minima over all polarities of both polynomial forms.
-
-    Returns (rm_ad, rm_sh, rm_l, af_ad, af_sh, af_l): the minimum summands,
-    conjunction-summands and literals of the Reed-Muller and then the
-    arithmetic form.  The three minima of a form may come from different
-    polarities.  Holds for n <= 6, the range the lane fields cover.
-    """
-    return polarity_minima_batch(n, [mask])[0]
-
-
 def rm_minima(n: int, mask: int) -> tuple[int, int, int]:
-    """The Reed-Muller half of :func:`polarity_minima`."""
-    return polarity_minima(n, mask)[:3]
+    """The Reed-Muller half of one mask's :func:`polarity_minima_batch` row."""
+    return polarity_minima_batch(n, [mask])[0][:3]
 
 
 def arith_minima(n: int, mask: int) -> tuple[int, int, int]:
-    """The arithmetic half of :func:`polarity_minima`."""
-    return polarity_minima(n, mask)[3:]
+    """The arithmetic half of one mask's :func:`polarity_minima_batch` row."""
+    return polarity_minima_batch(n, [mask])[0][3:]
 
 
-def analyze_counts(n: int, index: int, guard_s: float = 60.0) -> tuple[int, ...]:
-    """Nine cost counts for one function index, one function per call.
+def analyze_batch(
+    n: int, indices: Sequence[int], guard_s: float
+) -> list[tuple[int, ...]]:
+    """Nine cost counts per function index, in order.
 
     Layout: (cfr_terms, cfr_conjunctions, cfr_literals,
              rm_min_ad, rm_min_sh, rm_min_l,
              af_min_ad, af_min_sh, af_min_l).
-    """
-    terms, literals = min_sop_counts(n, index, guard_s)
-    conj = terms - 1 if index == (1 << (1 << n)) - 1 else terms
-    return (terms, conj, literals) + polarity_minima(n, index)
-
-
-def analyze_batch(
-    n: int, indices: Sequence[int], guard_s: float = 60.0
-) -> list[tuple[int, ...]]:
-    """analyze_counts over an index sequence, in order.
 
     Both sides run on the whole sequence at once: the polarity minima in
     lane-parallel passes, and the SOP essentials and one-term completions

@@ -191,7 +191,7 @@ class SweepRecords(Sequence):
 
 def analyze_record(tt: TruthTable, guard_s: float | None = None) -> SweepRecord:
     """Sweep record of a single function (kernel-backed)."""
-    counts = kernels.analyze_counts(tt.n, tt.index, resolve_guard(guard_s))
+    counts = kernels.analyze_counts(tt.n, tt.index, guard_s)
     return _record_of_row(tt.index, _cost_rows(tt.n, [counts])[0])
 
 
@@ -447,7 +447,7 @@ def sweep(n: int, jobs: int = 1, guard_s: float | None = None) -> SweepRecords:
     _check_jobs(jobs)
     classes = np_classes(n)
     reps = classes.representatives
-    counts = kernels.analyze_batch(n, reps, resolve_guard(guard_s))
+    counts = kernels.analyze_batch(n, reps, guard_s)
     return SweepRecords(
         range(1 << (1 << n)),
         classes.class_of,

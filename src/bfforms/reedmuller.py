@@ -130,7 +130,7 @@ def scan_polarities(tt: TruthTable, criterion: str, transform):
 
     Each polarity is transformed from scratch.  The sweep kernels get the
     minimum costs of every polarity from one extended-transform pass
-    (``_kernels_py.polarity_minima``), but that pass yields counts only;
+    (``_kernels_py.polarity_minima_batch``), but that pass yields counts only;
     this scan must return the winning polynomial itself, and at n <= 6 it
     is at most 64 transforms per call.
     """

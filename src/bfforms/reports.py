@@ -12,7 +12,8 @@ functions in ``records.csv`` column order, and builds no record object.
 Each statistic cell is computed once, by its table: :func:`rei_table`,
 :func:`weights_table` and :func:`losses_table` read one
 :class:`~bfforms.analysis.SweepStats`, built by a single pass over the
-class rows, and :func:`summary_json` builds every block from their rows.
+class rows, and :func:`summary_json` builds every block from the rows of
+the same three tables that the CSV files are written from.
 The records table renders each class's row once; ``records.csv`` joins it
 with the index of each function in the class ``BLOCK_LINES`` lines at a
 time, so the file is never held whole.
@@ -190,14 +191,22 @@ class _RecordLines:
         return (f"{i},{cells[c]}" for i, c in zip(self.indices, self.class_of))
 
 
-def summary_json(stats: SweepStats, n: int, sampled: dict | None = None) -> dict:
+def summary_json(
+    stats: SweepStats,
+    n: int,
+    rei: ReportTable,
+    weights: ReportTable,
+    losses: ReportTable,
+    sampled: dict | None = None,
+) -> dict:
     """Everything the CSV tables carry, as exact rationals, plus metadata.
 
-    Every block is read from the rows of the three statistic tables, and
-    each criterion's S_mm (the same for every form) from ``stats``.
-    ``sampled`` is None for a sweep; any dict, even ``{}``, is a sample's.
+    Every block is read from the rows of the three statistic tables of
+    ``stats`` (:func:`rei_table`, :func:`weights_table` and
+    :func:`losses_table`), and each criterion's S_mm (the same for every
+    form) from ``stats``.  ``sampled`` is None for a sweep; any dict, even
+    ``{}``, is a sample's.
     """
-    rei = rei_table(stats)
     criteria = rei.headers[2:]
     s_mm = [stats.rei("cfr", c).s_mm for c in criteria]
     rei_block: dict = {}
@@ -210,7 +219,6 @@ def summary_json(stats: SweepStats, n: int, sampled: dict | None = None) -> dict
         if variant == "literal":
             computed_rei[form] = dict(zip(criteria, etas))
 
-    weights = weights_table(stats, sampled is not None)
     weights_block: dict = {}
     for criterion, label, weight, *stderr in weights.rows:
         cell = _rational_json(weight)
@@ -220,7 +228,6 @@ def summary_json(stats: SweepStats, n: int, sampled: dict | None = None) -> dict
 
     losses_block: dict = {}
     computed_losses: dict = {}
-    losses = losses_table(stats)
     for criterion, scenario, q, benefit, pct_cfr, pct_scenario in losses.rows:
         losses_block.setdefault(criterion, {})[scenario] = {
             "q": q,
@@ -271,13 +278,16 @@ def write_sweep_reports(
     """
     records = SweepRecords.of(records)
     stats = aggregate(records)
+    rei = rei_table(stats)
+    weights = weights_table(stats, sampled is not None)
+    losses = losses_table(stats)
     tables = {
         "records.csv": records_table(records),
-        "rei.csv": rei_table(stats),
-        "weights.csv": weights_table(stats, sampled is not None),
-        "losses.csv": losses_table(stats),
+        "rei.csv": rei,
+        "weights.csv": weights,
+        "losses.csv": losses,
     }
-    summary = summary_json(stats, n, sampled)
+    summary = summary_json(stats, n, rei, weights, losses, sampled)
     # Tables and summary come first: a statistic that cannot be computed
     # leaves no directory behind.
     out = Path(out_dir)

@@ -15,9 +15,12 @@ digests in ``tests/data/golden_sop_counts.sha256``.
 import hashlib
 import os
 import random
+import shutil
 import statistics
 import subprocess
 import sys
+import sysconfig
+import threading
 import time
 from functools import cache
 from pathlib import Path
@@ -30,6 +33,7 @@ from bfforms import _sop_planes
 from bfforms.arith import arithmetic_transform
 from bfforms.costs import cost_of_arith, cost_of_rm, cost_of_sop
 from bfforms.errors import GuardTimeoutError
+from bfforms.guard import DEFAULT_GUARD_SECS
 from bfforms.reedmuller import PolarityVector, fprm_transform
 from bfforms.sop import minimize_sop
 from bfforms.truthtable import TruthTable, sample_uniform
@@ -102,21 +106,21 @@ def library_counts(tt: TruthTable) -> tuple[int, ...]:
 @pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
 def test_kernel_matches_library_all_l3(impl, l3_tables):
     for tt in l3_tables:
-        assert impl.analyze_counts(3, tt.index, 60.0) == library_counts(tt)
+        assert counts_of(impl, 3, tt.index) == library_counts(tt)
 
 
 @pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
 def test_kernel_matches_library_seeded_n4(impl):
     for index in sample_uniform(4, 40, seed=404):
         tt = TruthTable.from_index(4, index)
-        assert impl.analyze_counts(4, index, 60.0) == library_counts(tt)
+        assert counts_of(impl, 4, index) == library_counts(tt)
 
 
 @pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
 def test_kernel_matches_library_seeded_n5(impl):
     for index in sample_uniform(5, 8, seed=505):
         tt = TruthTable.from_index(5, index)
-        assert impl.analyze_counts(5, index, 60.0) == library_counts(tt)
+        assert counts_of(impl, 5, index) == library_counts(tt)
 
 
 @pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
@@ -131,7 +135,7 @@ def test_polarity_minima_match_golden_digests(impl):
         assert minima_digest(indices, rows) == expected[name], name
         # Spot check: the batch rows equal the one-function calls.
         for pos in random.Random(name).sample(range(len(indices)), 24):
-            assert rows[pos] == impl.polarity_minima(n, indices[pos])
+            assert rows[pos] == minima_of(impl, n, indices[pos])
 
 
 def sop_digest(indices, pairs) -> str:
@@ -147,6 +151,25 @@ def sop_columns(rows) -> list[tuple[int, int]]:
     return [(row[0], row[2]) for row in rows]
 
 
+# The twins export batch entries only; a one-function call is a batch of one.
+def counts_of(impl, n: int, index: int, guard_s: float = DEFAULT_GUARD_SECS):
+    """The nine counts of one index."""
+    return impl.analyze_batch(n, [index], guard_s)[0]
+
+
+def minima_of(impl, n: int, mask: int) -> tuple[int, ...]:
+    """The six polarity minima of one mask."""
+    return impl.polarity_minima_batch(n, [mask])[0]
+
+
+def sop_counts_of(impl, n: int, on: int, guard_s: float = DEFAULT_GUARD_SECS):
+    """(terms, literals) of one mask: the twin's ``min_sop_counts`` where it
+    has one, else the SOP columns of its batch entry."""
+    if hasattr(impl, "min_sop_counts"):
+        return impl.min_sop_counts(n, on, guard_s)
+    return sop_columns([counts_of(impl, n, on, guard_s)])[0]
+
+
 @pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
 @pytest.mark.parametrize("name", GOLDEN_SOP_COUNTS_SETS)
 def test_min_sop_counts_match_golden_digests(impl, name):
@@ -154,7 +177,7 @@ def test_min_sop_counts_match_golden_digests(impl, name):
     # before the dominance reductions and the transposition table.
     n, make_indices = GOLDEN_SOP_COUNTS_SETS[name]
     indices = make_indices()
-    pairs = [impl.min_sop_counts(n, index, 60.0) for index in indices]
+    pairs = [sop_counts_of(impl, n, index) for index in indices]
     assert sop_digest(indices, pairs) == read_golden(GOLDEN_SOP_COUNTS)[name]
 
 
@@ -358,7 +381,7 @@ def test_min_sop_counts_match_plain_search(impl, plain_search_cases):
     # The reductions and the transposition table change which branches the
     # search visits, never the optimum.
     for n, index, expected in plain_search_cases:
-        assert impl.min_sop_counts(n, index, 60.0) == expected, hex(index)
+        assert sop_counts_of(impl, n, index) == expected, hex(index)
 
 
 # Hand-built (rows, literals) prime lists for the cover search, in lattice
@@ -415,7 +438,7 @@ def test_symmetric_n6_finishes_under_default_guard(impl):
     # is a minimum edge cover of that bipartite graph: 35 rows less a
     # 15-edge matching is 20 terms.  The search without dominance or a
     # transposition table did not finish it in minutes.
-    assert impl.min_sop_counts(6, 0x117177E177E7EE8) == (20, 100)
+    assert sop_counts_of(impl, 6, 0x117177E177E7EE8) == (20, 100)
 
 
 # Constants, single minterms at both ends, parity and a half-constant
@@ -435,7 +458,7 @@ N6_EXTREMES = [
 @pytest.mark.parametrize("index", N6_EXTREMES, ids=hex)
 def test_polarity_minima_match_library_n6(impl, index):
     expected = library_polarity_minima(TruthTable.from_index(6, index))
-    assert impl.polarity_minima(6, index) == expected
+    assert minima_of(impl, 6, index) == expected
 
 
 @cache
@@ -485,7 +508,7 @@ def test_lane_isolation(n, masks):
     rows = pure.polarity_minima_batch(n, masks)
     assert len(rows) == len(masks)
     for mask, row in zip(masks, rows):
-        assert row == pure.polarity_minima(n, mask)
+        assert row == minima_of(pure, n, mask)
         assert row == library_minima_of(n, mask)
 
 
@@ -502,7 +525,7 @@ def test_arithmetic_minima_never_below_reed_muller(impl):
         # The one-mask call: every function up to n=3, every 8th past it.
         step = 1 if n <= 3 else 8
         for mask, row in zip(masks[::step], rows[::step]):
-            assert impl.polarity_minima(n, mask) == row
+            assert minima_of(impl, n, mask) == row
         for mask, (rm_ad, rm_sh, rm_l, af_ad, af_sh, af_l) in zip(masks, rows):
             assert af_ad >= rm_ad and af_sh >= rm_sh and af_l >= rm_l, hex(mask)
 
@@ -510,7 +533,7 @@ def test_arithmetic_minima_never_below_reed_muller(impl):
 def test_batch_paths_agree_with_one_lane():
     draws = sample_uniform(4, 70, seed=808)
     counts = pure.analyze_batch(4, draws, 60.0)
-    assert [c[3:] for c in counts] == [pure.polarity_minima(4, i) for i in draws]
+    assert [c[3:] for c in counts] == [minima_of(pure, 4, i) for i in draws]
     assert pure.polarity_minima_batch(4, []) == []
     assert pure.analyze_batch(4, [], 60.0) == []
 
@@ -518,12 +541,10 @@ def test_batch_paths_agree_with_one_lane():
 @needs_compiled
 def test_backends_agree_l3_and_samples():
     for i in range(256):
-        assert pure.analyze_counts(3, i, 60.0) == compiled.analyze_counts(3, i, 60.0)
+        assert counts_of(pure, 3, i) == counts_of(compiled, 3, i)
     for n, seed, count in ((4, 11, 200), (5, 12, 40), (6, 13, 5)):
         for index in sample_uniform(n, count, seed):
-            assert pure.analyze_counts(n, index, 60.0) == compiled.analyze_counts(
-                n, index, 60.0
-            )
+            assert counts_of(pure, n, index) == counts_of(compiled, n, index)
 
 
 @pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
@@ -532,7 +553,7 @@ def test_sweep_counts_equals_pointwise(impl, monkeypatch):
 
     monkeypatch.setattr(kernels, "_impl", impl)
     block = kernels.sweep_counts(3, 100, 140, 60.0)
-    assert block == [impl.analyze_counts(3, i, 60.0) for i in range(100, 140)]
+    assert block == [counts_of(impl, 3, i) for i in range(100, 140)]
     assert kernels.sweep_counts(4, 7, 7, 60.0) == []
 
 
@@ -540,26 +561,26 @@ def test_sweep_counts_equals_pointwise(impl, monkeypatch):
 def test_analyze_batch_preserves_order(impl):
     indices = [5, 250, 5, 17]
     got = impl.analyze_batch(3, indices, 60.0)
-    assert got == [impl.analyze_counts(3, i, 60.0) for i in indices]
+    assert got == [counts_of(impl, 3, i) for i in indices]
 
 
 @pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
 def test_min_sop_counts_edges(impl):
-    assert impl.min_sop_counts(3, 0, 60.0) == (0, 0)
-    assert impl.min_sop_counts(3, 255, 60.0) == (1, 0)
-    assert impl.min_sop_counts(3, 0b11101000, 60.0) == (3, 6)  # MAJ3
-    assert impl.analyze_counts(6, 0, 60.0) == (0,) * 9
-    assert impl.analyze_counts(6, (1 << 64) - 1, 60.0) == (1, 0, 0) * 3
+    assert sop_counts_of(impl, 3, 0) == (0, 0)
+    assert sop_counts_of(impl, 3, 255) == (1, 0)
+    assert sop_counts_of(impl, 3, 0b11101000) == (3, 6)  # MAJ3
+    assert counts_of(impl, 6, 0) == (0,) * 9
+    assert counts_of(impl, 6, (1 << 64) - 1) == (1, 0, 0) * 3
 
 
 @pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
 def test_guard_zero_aborts(impl):
     with pytest.raises(GuardTimeoutError):
-        impl.min_sop_counts(3, 0b11101000, 0.0)
+        sop_counts_of(impl, 3, 0b11101000, 0.0)
     # Constants stay exempt: their cover search has nothing to search.
     for n in range(1, 7):
-        assert impl.min_sop_counts(n, 0, 0.0) == (0, 0)
-        assert impl.min_sop_counts(n, (1 << (1 << n)) - 1, 0.0) == (1, 0)
+        assert sop_counts_of(impl, n, 0, 0.0) == (0, 0)
+        assert sop_counts_of(impl, n, (1 << (1 << n)) - 1, 0.0) == (1, 0)
 
 
 @pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
@@ -572,7 +593,7 @@ def test_analyze_batch_guard_zero(impl):
             impl.analyze_batch(3, batch, 0.0)
     batch = [0, 255, 0]
     assert impl.analyze_batch(3, batch, 0.0) == [
-        impl.analyze_counts(3, i, 60.0) for i in batch
+        counts_of(impl, 3, i) for i in batch
     ]
 
 
@@ -611,12 +632,12 @@ GUARD_OVERRUN_CASE = 0x177F7FFE7FFEFEE8
 def test_guard_overrun_is_small(impl):
     # The cover search checks its wall-clock deadline every 1,024 nodes;
     # at 8,192 the pure one overran a 10 ms guard by about 100 ms.
-    impl.min_sop_counts(6, 0, 0.01)  # builds the pure twin's n=6 lattice
+    sop_counts_of(impl, 6, 0, 0.01)  # builds the pure twin's n=6 lattice
     overruns = []
     for _ in range(5):
         start = time.monotonic()
         with pytest.raises(GuardTimeoutError):
-            impl.min_sop_counts(6, GUARD_OVERRUN_CASE, 0.01)
+            sop_counts_of(impl, 6, GUARD_OVERRUN_CASE, 0.01)
         overruns.append(time.monotonic() - start - 0.01)
     assert statistics.median(overruns) < 0.030
 
@@ -671,14 +692,59 @@ def test_facade_rejects_bad_input(impl, n, index):
         "    raise SystemExit(0)\n"
         "raise SystemExit('no ValueError')\n"
     )
+    result = run_child(impl, code)
+    assert result.returncode == 0, result.stderr
+
+
+def run_child(impl, code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a child process whose kernel facade picks ``impl``."""
     env = dict(os.environ)
     env.pop("BFFORMS_PURE", None)
     if impl is pure:
         env["BFFORMS_PURE"] = "1"
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        timeout=30,
+        timeout=60,
     )
+
+
+# Two n=6 functions whose count searches reach the transposition table.
+SMALL_STACK_BATCH = [0x977E7EE97EE9E997, 0x0123456789ABCDEF]
+
+
+def small_stack_counts(impl) -> tuple[list, list]:
+    """``impl.analyze_batch`` of ``SMALL_STACK_BATCH``, on this thread and on
+    a new thread with a 256 KiB stack."""
+    here = impl.analyze_batch(6, SMALL_STACK_BATCH, DEFAULT_GUARD_SECS)
+    there = []
+    old = threading.stack_size(256 * 1024)
+    try:
+        thread = threading.Thread(
+            target=lambda: there.append(
+                impl.analyze_batch(6, SMALL_STACK_BATCH, DEFAULT_GUARD_SECS)
+            )
+        )
+        thread.start()
+    finally:
+        threading.stack_size(old)
+    thread.join(30)
+    assert not thread.is_alive()
+    return here, there
+
+
+@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
+def test_kernel_runs_on_a_small_thread_stack(impl):
+    # The compiled cover search's state alone is 256 KiB, so it must not
+    # live on the stack.  A crash takes only the child down.
+    code = (
+        f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+        "import test_kernels\n"
+        "from bfforms import kernels\n"
+        f"assert kernels.BACKEND == {impl.BACKEND!r}\n"
+        "here, there = test_kernels.small_stack_counts(kernels._impl)\n"
+        "assert there == [here], (here, there)\n"
+    )
+    result = run_child(impl, code)
     assert result.returncode == 0, result.stderr
 
 
@@ -693,3 +759,127 @@ def test_facade_polarity_minima(impl, monkeypatch):
     for n, index in BAD_INPUTS:
         with pytest.raises(ValueError):
             kernels.polarity_minima(n, index)
+
+
+@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
+def test_facade_resolves_every_guard(impl, monkeypatch):
+    from bfforms import kernels
+
+    monkeypatch.setattr(kernels, "_impl", impl)
+    # A NaN guard would never trip a deadline comparison.
+    nan = float("nan")
+    for call in (
+        lambda: kernels.analyze_batch(6, [0x977E7EE97EE9E997], nan),
+        lambda: kernels.analyze_counts(6, 0x977E7EE97EE9E997, nan),
+        lambda: kernels.sweep_counts(3, 0, 8, nan),
+    ):
+        with pytest.raises(ValueError, match="NaN"):
+            call()
+    # A call without a guard follows the environment, and a guard of 0
+    # aborts any non-constant function.
+    monkeypatch.setenv("BFFORMS_GUARD_SECS", "0")
+    for call in (
+        lambda: kernels.analyze_batch(5, [0x12345678]),
+        lambda: kernels.analyze_counts(5, 0x12345678),
+        lambda: kernels.sweep_counts(3, 0, 8),
+    ):
+        with pytest.raises(GuardTimeoutError):
+            call()
+    assert kernels.analyze_batch(5, [0, (1 << 32) - 1]) == [(0,) * 9, (1, 0, 0) * 3]
+    assert kernels.analyze_counts(5, 0) == (0,) * 9
+
+
+@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
+def test_facade_checks_the_whole_batch_first(impl, monkeypatch):
+    # A bad index anywhere in a batch fails before the kernel starts, so no
+    # partial answer comes back.
+    from bfforms import kernels
+
+    calls = []
+    monkeypatch.setattr(kernels, "_impl", impl)
+    monkeypatch.setattr(impl, "analyze_batch", lambda *args: calls.append(args))
+    for batch in ([3, 1 << 8], [1 << 8, 3], [3, -1, 5]):
+        with pytest.raises(ValueError):
+            kernels.analyze_batch(3, batch)
+    with pytest.raises(ValueError):
+        kernels.sweep_counts(3, 0, 257)
+    assert calls == []
+
+
+SANITIZER_CHILD = """
+import sys
+from pathlib import Path
+sys.path.insert(0, {tests!r})
+import test_kernels as tk
+from bfforms import _kernels_c as c, _kernels_py as py
+assert Path(c._PATH).parent == Path({copy!r}), c._PATH
+for name in tk.GOLDEN_SOP_COUNTS_SETS:
+    tk.test_analyze_batch_sop_matches_golden_digests(c, name)
+tk.test_polarity_minima_match_golden_digests(c)
+for n, count in ((1, 3000), (2, 3000), (3, 3000), (4, 3000), (5, 3000), (6, 300)):
+    draws = tk.sample_uniform(n, count, seed=900 + n)
+    assert c.analyze_batch(n, draws, 60.0) == py.analyze_batch(n, draws, 60.0), n
+here, there = tk.small_stack_counts(c)
+assert there == [here], (here, there)
+# The early returns free what the call allocated.
+for call, error in (
+    (lambda: c.analyze_batch(6, [tk.GUARD_OVERRUN_CASE], 0.01), tk.GuardTimeoutError),
+    (lambda: c.analyze_batch(3, [5, 0x1FF], 60.0), ValueError),
+):
+    try:
+        call()
+    except error:
+        pass
+    else:
+        raise SystemExit(f"no {{error.__name__}}")
+print("ok")
+"""
+
+
+@cache
+def sanitizer_runtime() -> tuple[str, ...]:
+    """gcc's ASan and UBSan runtimes, or () when either is missing."""
+    if shutil.which("gcc") is None:
+        return ()
+    libs = []
+    for name in ("libasan.so", "libubsan.so"):
+        found = subprocess.run(
+            ["gcc", f"-print-file-name={name}"], capture_output=True, text=True
+        ).stdout.strip()
+        if not os.path.isabs(found) or not os.path.exists(found):
+            return ()
+        libs.append(found)
+    return tuple(libs)
+
+
+@pytest.mark.skipif(not sanitizer_runtime(), reason="gcc has no ASan/UBSan runtime")
+def test_compiled_kernel_under_sanitizers(tmp_path):
+    # The C kernel built with AddressSanitizer and UndefinedBehaviorSanitizer
+    # runs the golden digests, a differential against the pure twin, the
+    # small-stack thread and the guard and bad-input returns.  The build
+    # goes to a copy, so the library the other tests load stays as it is.
+    src = Path(__file__).resolve().parent.parent / "src" / "bfforms"
+    copy = tmp_path / "bfforms"
+    shutil.copytree(src, copy, ignore=shutil.ignore_patterns("*.so", "__pycache__"))
+    library = copy / ("_ckernel" + sysconfig.get_config_var("EXT_SUFFIX"))
+    subprocess.run(
+        ["gcc", "-O1", "-g", "-fsanitize=address,undefined",
+         "-fno-sanitize-recover=undefined", "-shared", "-fPIC",
+         "-o", str(library), str(copy / "_ckernel.c")],
+        check=True, capture_output=True,
+    )  # fmt: skip
+    tests = str(Path(__file__).resolve().parent)
+    code = SANITIZER_CHILD.format(tests=tests, copy=str(copy))
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join([str(tmp_path), tests]),
+        LD_PRELOAD=" ".join(sanitizer_runtime()),
+        ASAN_OPTIONS="detect_leaks=0",
+    )
+    env.pop("BFFORMS_PURE", None)
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr[-4000:]
+    assert result.stdout.strip() == "ok"

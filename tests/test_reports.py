@@ -7,12 +7,13 @@ from pathlib import Path
 import pytest
 
 from conftest import kernel_backends
-from bfforms import analysis, cli, kernels
+from bfforms import analysis, cli, kernels, reports
 from bfforms.analysis import SweepRecord, aggregate, sweep
 from bfforms.costs import CRITERIA, CostVector
 from bfforms.reports import (
     ReportTable,
     format_rational,
+    losses_table,
     records_table,
     rei_table,
     summary_json,
@@ -79,8 +80,16 @@ def test_rei_table_shape(stats3):
     assert forms == ["cfr", "afr", "rm", "ofr"] * 2
 
 
+def summary_of(stats, n: int, sampled: dict | None = None) -> dict:
+    """:func:`summary_json` of ``stats`` with its three statistic tables."""
+    weights = weights_table(stats, sampled is not None)
+    return summary_json(
+        stats, n, rei_table(stats), weights, losses_table(stats), sampled
+    )
+
+
 def test_summary_json_structure(stats3):
-    summary = summary_json(stats3, 3)
+    summary = summary_of(stats3, 3)
     assert summary["schema"] == "bfforms.sweep-report/1"
     eta = summary["rei"]["literal"]["cfr"]["s_ad"]
     assert set(eta) == {"num", "den", "decimal", "s_mm"}
@@ -93,7 +102,7 @@ def test_summary_json_structure(stats3):
 
 
 def test_summary_json_sampled_stderr(stats3):
-    summary = summary_json(stats3, 3, sampled={"count": 256, "seed": 1})
+    summary = summary_of(stats3, 3, sampled={"count": 256, "seed": 1})
     assert summary["meta"]["sampled"] is True
     assert 0 < summary["meta"]["max_weight_stderr"] < 0.05
     weights = summary["weights"]["s_ad"]
@@ -117,6 +126,22 @@ def test_write_sweep_reports_files(tmp_path, sweep3):
     assert records_csv.splitlines()[0].startswith("index,cfr_s_ad")
 
 
+def test_write_sweep_reports_builds_each_table_once(tmp_path, monkeypatch):
+    # summary.json reads the rows of the tables the CSV files are written
+    # from, so no statistic table is built twice.
+    calls = dict.fromkeys(("rei_table", "weights_table", "losses_table"), 0)
+    for name in calls:
+        original = getattr(reports, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(reports, name, counted)
+    write_sweep_reports(sweep(4), 4, tmp_path)
+    assert calls == {"rei_table": 1, "weights_table": 1, "losses_table": 1}
+
+
 def test_records_table_renders_the_same_bytes_twice():
     # Each write renders every line again, so two writes give the same bytes.
     table = records_table(sweep(2))
@@ -126,7 +151,7 @@ def test_records_table_renders_the_same_bytes_twice():
 
 
 def test_no_reference_section_for_n2(tmp_path):
-    summary = summary_json(aggregate(sweep(2)), 2)
+    summary = summary_of(aggregate(sweep(2)), 2)
     assert "reference_comparison" not in summary
 
 
