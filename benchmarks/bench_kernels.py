@@ -37,6 +37,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from bfforms import _kernels_py, _sop_planes, npclasses  # noqa: E402
 from bfforms.errors import GuardTimeoutError  # noqa: E402
+from bfforms.guard import DEFAULT_GUARD_SECS  # noqa: E402
 from bfforms.sop import minimize_sop  # noqa: E402
 from bfforms.truthtable import TruthTable, sample_uniform  # noqa: E402
 
@@ -52,7 +53,7 @@ SYMMETRIC_GUARD_S = 1.0
 
 def bench(impl, n, indices):
     start = time.perf_counter()
-    impl.analyze_batch(n, indices, 60.0)
+    impl.analyze_batch(n, indices, DEFAULT_GUARD_SECS)
     elapsed = time.perf_counter() - start
     return elapsed, len(indices) / elapsed
 
@@ -118,7 +119,10 @@ def main():
             print(f"  {impl.BACKEND:9s} {elapsed:8.3f}s  {rate:10.0f} fn/s")
             if impl is _kernels_py:
                 layers = [
-                    ("min_sop_counts", lambda n, i: impl.min_sop_counts(n, i, 60.0)),
+                    (
+                        "min_sop_counts",
+                        lambda n, i: impl.min_sop_counts(n, i, DEFAULT_GUARD_SECS),
+                    ),
                     ("_prime_ids", impl._prime_ids),
                     ("polarity_minima", lambda n, i: impl.polarity_minima_batch(n, [i])),
                 ]
