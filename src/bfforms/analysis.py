@@ -404,19 +404,28 @@ def q_aggregate(records, scenario: str, criterion: str) -> LossReport:
     return aggregate(records).q_aggregate(scenario, criterion)
 
 
-def _check_jobs(jobs: int) -> None:
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-
-
 def _batch_chunk(args: tuple[int, tuple[int, ...], float]) -> list[tuple[int, ...]]:
     n, indices, guard = args
     return kernels.analyze_batch(n, indices, guard)
 
 
-def _run_jobs(chunks, jobs: int):
+def _batch(n: int, draw, jobs: int, guard_s: float | None):
+    """The indices ``draw()`` returns and their cost rows, over ``jobs`` processes.
+
+    Checks ``jobs``, resolves the guard, and only then draws.  One chunk of
+    ``_CHUNK`` indices, or one job, runs in this process; the rows are the
+    same for every ``jobs`` value.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    guard = resolve_guard(guard_s)
+    indices = draw()
+    chunks = [
+        (n, tuple(indices[start : start + _CHUNK]), guard)
+        for start in range(0, len(indices), _CHUNK)
+    ]
     if jobs == 1 or len(chunks) <= 1:
-        results = [_batch_chunk(c) for c in chunks]
+        parts = map(_batch_chunk, chunks)
     else:
         # Imported here: multiprocessing adds about 2 MB to every process
         # that loads bfforms, and single-job runs never use it.
@@ -425,11 +434,8 @@ def _run_jobs(chunks, jobs: int):
         # The pool starts all its workers at the first task: no more than
         # there are chunks.
         with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
-            results = list(pool.map(_batch_chunk, chunks))
-    merged: list[tuple[int, ...]] = []
-    for part in results:
-        merged.extend(part)
-    return merged
+            parts = list(pool.map(_batch_chunk, chunks))
+    return indices, _cost_rows(n, [row for part in parts for row in part])
 
 
 def sweep(n: int, jobs: int = 1, guard_s: float | None = None) -> SweepRecords:
@@ -438,23 +444,15 @@ def sweep(n: int, jobs: int = 1, guard_s: float | None = None) -> SweepRecords:
     The kernel's counts are invariant under permuting and complementing
     inputs (:mod:`bfforms.npclasses`), so it runs once per NP class, on the
     class's least index, and every function shares its class's record:
-    402 kernel calls for the 65,536 functions of n=4.  ``jobs`` is accepted
-    for symmetry with :func:`sampled_sweep` and has no effect, but as there
-    a value below 1 raises ValueError.
+    402 kernel calls for the 65,536 functions of n=4.  ``jobs`` is the number
+    of worker processes, as in :func:`sampled_sweep`, but the calls fit one
+    chunk, so they run in this process.  ``jobs`` below 1 raises ValueError.
     """
-    if n not in (1, 2, 3, 4):
-        raise ValueError(f"exhaustive sweeps support n in 1..4, got {n}")
-    _check_jobs(jobs)
+    if isinstance(n, bool) or not isinstance(n, int) or n not in (1, 2, 3, 4):
+        raise ValueError(f"exhaustive sweeps support n in 1..4, got {n!r}")
+    reps, rows = _batch(n, lambda: np_classes(n).representatives, jobs, guard_s)
     classes = np_classes(n)
-    reps = classes.representatives
-    counts = kernels.analyze_batch(n, reps, guard_s)
-    return SweepRecords(
-        range(1 << (1 << n)),
-        classes.class_of,
-        reps,
-        _cost_rows(n, counts),
-        classes.sizes,
-    )
+    return SweepRecords(range(1 << (1 << n)), classes.class_of, reps, rows, classes.sizes)
 
 
 def sampled_sweep(
@@ -463,17 +461,10 @@ def sampled_sweep(
     """Analyze a seeded uniform sample of functions, in draw order.
 
     Each draw is its own class: random draws of n=5 almost never share an
-    NP class.  The draws split into chunks over ``jobs`` processes; the
-    result is the same for every ``jobs`` value.  Raises ValueError for
-    ``jobs`` below 1.
+    NP class.  ``jobs`` is the number of worker processes; the result is the
+    same for every value, and one below 1 raises ValueError.
     """
     if n > 5:
         raise ValueError(f"sampled sweeps support n <= 5, got {n}")
-    _check_jobs(jobs)
-    guard = resolve_guard(guard_s)
-    indices = sample_uniform(n, count, seed)
-    chunks = [
-        (n, tuple(indices[start : start + _CHUNK]), guard)
-        for start in range(0, len(indices), _CHUNK)
-    ]
-    return SweepRecords._one_per_class(indices, _cost_rows(n, _run_jobs(chunks, jobs)))
+    indices, rows = _batch(n, lambda: sample_uniform(n, count, seed), jobs, guard_s)
+    return SweepRecords._one_per_class(indices, rows)

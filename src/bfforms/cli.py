@@ -1,11 +1,12 @@
 """Command-line surface: analyze, sweep, sample, convert.
 
-Exit codes: 0 success; 1 usage error (a missing or unknown argument, an
-integer option that is not ASCII digits after an optional '-', --count or
---jobs below 1, --seed outside 0..2**64-1, an empty --out, a guard that is
-not a number or NaN, a sweep or sample whose every cost is zero, which
-leaves no --out directory); 2 input format or file error (--tt not ASCII
-hex after an optional 0x, --polarity not ASCII decimal, a value out of
+``--jobs`` is the number of worker processes of sweep and sample.  Exit
+codes: 0 success; 1 usage error (a missing or unknown argument, an integer
+option that is not ASCII digits after an optional '-', --count or --jobs
+below 1, --seed outside 0..2**64-1, an empty --out, a guard that is not a
+number or NaN, a sweep or sample whose every cost is zero, which leaves no
+--out directory); 2 input format or file error (--tt not ASCII hex after an
+optional 0x, --polarity not ASCII decimal under any --form, a value out of
 range for the function or the file, a bad, unreadable or non-UTF-8 PLA
 file, an --out that cannot be written); 3 resource abort (the time guard
 tripped, or memory ran out).  Diagnostics go to stderr; data goes to
@@ -88,19 +89,13 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     swp = sub.add_parser("sweep", help="exhaustive sweep with report files")
-    swp.set_defaults(run=_cmd_sweep)
+    swp.set_defaults(run=_cmd_report)
     swp.add_argument("--n", type=_decimal, required=True, choices=(1, 2, 3, 4))
     swp.add_argument("--out", type=_directory, required=True, help="report directory")
-    swp.add_argument(
-        "--jobs",
-        type=_decimal,
-        default=1,
-        help="accepted (at least 1) and ignored: a sweep runs the kernel once "
-        "per NP class, 402 calls at n=4; --jobs only affects sample",
-    )
+    swp.add_argument("--jobs", type=_decimal, default=1, help="worker processes, at least 1")
 
     smp = sub.add_parser("sample", help="seeded sampled sweep with report files")
-    smp.set_defaults(run=_cmd_sample)
+    smp.set_defaults(run=_cmd_report)
     smp.add_argument("--n", type=_decimal, required=True, choices=(1, 2, 3, 4, 5))
     smp.add_argument("--count", type=_decimal, default=65536, help="draws, at least 1")
     smp.add_argument("--seed", type=_decimal, required=True, help="0..2**64-1")
@@ -194,19 +189,23 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(args) -> int:
-    records = sweep(args.n, jobs=args.jobs)
-    written = write_sweep_reports(records, args.n, args.out)
-    print(f"wrote {len(written)} report files to {args.out}", file=sys.stderr)
-    return EXIT_OK
-
-
-def _cmd_sample(args) -> int:
-    records = sampled_sweep(args.n, args.count, args.seed, jobs=args.jobs)
-    sampled = {"count": args.count, "seed": args.seed}
+def _cmd_report(args) -> int:
+    """``sweep`` or ``sample``: run it, then write its report files."""
+    if args.command == "sweep":
+        records, sampled = sweep(args.n, jobs=args.jobs), None
+    else:
+        records = sampled_sweep(args.n, args.count, args.seed, jobs=args.jobs)
+        sampled = {"count": args.count, "seed": args.seed}
     written = write_sweep_reports(records, args.n, args.out, sampled=sampled)
     print(f"wrote {len(written)} report files to {args.out}", file=sys.stderr)
     return EXIT_OK
+
+
+# The polarity scan and the fixed-polarity transform of each polynomial form.
+_POLYNOMIAL_FORMS = {
+    "rm": (best_polarity, fprm_transform),
+    "afr": (best_arith_polarity, arithmetic_transform),
+}
 
 
 def _cmd_convert(args) -> int:
@@ -214,7 +213,7 @@ def _cmd_convert(args) -> int:
     tables = truth_tables(doc)
     n = doc.num_inputs
     fixed_polarity: PolarityVector | None = None
-    if args.form in ("rm", "afr") and args.polarity != "best":
+    if args.polarity != "best":
         if not re.fullmatch(_DECIMAL, args.polarity):
             raise InputFormatError("--polarity must be an integer or 'best'")
         k = int(args.polarity)
@@ -228,18 +227,13 @@ def _cmd_convert(args) -> int:
             sop = minimize_sop(tt)
             print(f"{prefix}cfr: {sop}")
             print(emit_pla(sop_to_pla(sop)), end="")
-        elif args.form == "rm":
-            if fixed_polarity is None:
-                p, poly = best_polarity(tt, args.criterion)
-            else:
-                p, poly = fixed_polarity, fprm_transform(tt, fixed_polarity)
-            print(f"{prefix}rm (polarity={p.k}): {poly}")
+            continue
+        scan, transform = _POLYNOMIAL_FORMS[args.form]
+        if fixed_polarity is None:
+            p, poly = scan(tt, args.criterion)
         else:
-            if fixed_polarity is None:
-                p, poly = best_arith_polarity(tt, args.criterion)
-            else:
-                p, poly = fixed_polarity, arithmetic_transform(tt, fixed_polarity)
-            print(f"{prefix}afr (polarity={p.k}): {poly}")
+            p, poly = fixed_polarity, transform(tt, fixed_polarity)
+        print(f"{prefix}{args.form} (polarity={p.k}): {poly}")
     return EXIT_OK
 
 

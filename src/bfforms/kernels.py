@@ -6,10 +6,11 @@ implement identical semantics and produce identical counts; ``BACKEND``
 names the active one.  Each exports two batch entries, ``analyze_batch``
 and ``polarity_minima_batch``; the one-function forms here are batches of
 one.  The functions here check ``n`` and every index before any kernel
-runs, raising ValueError outside ``1 <= n <= 6`` and
-``0 <= index < 2**2**n``, and resolve every time guard with
-:func:`bfforms.guard.resolve_guard`: a call without ``guard_s`` follows
-``BFFORMS_GUARD_SECS``, and a NaN guard raises ValueError.
+runs, raising ValueError unless each is an int, not a bool, with
+``1 <= n <= 6`` and ``0 <= index < 2**2**n``, and resolve every time
+guard with :func:`bfforms.guard.resolve_guard`: a call without
+``guard_s`` follows ``BFFORMS_GUARD_SECS``, and a NaN guard raises
+ValueError.
 """
 
 from __future__ import annotations
@@ -30,13 +31,17 @@ else:
 BACKEND = _impl.BACKEND
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check(n: int, *indices: int) -> None:
-    if not 1 <= n <= 6:
-        raise ValueError(f"kernels support n in 1..6, got {n}")
+    if not _is_int(n) or not 1 <= n <= 6:
+        raise ValueError(f"kernels support n in 1..6, got {n!r}")
     size = 1 << (1 << n)
     for index in indices:
-        if not 0 <= index < size:
-            raise ValueError(f"function index {index} out of range for n={n}")
+        if not _is_int(index) or not 0 <= index < size:
+            raise ValueError(f"function index {index!r} out of range for n={n}")
 
 
 def analyze_counts(n: int, index: int, guard_s: float | None = None) -> tuple[int, ...]:

@@ -13,6 +13,7 @@ than that.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -21,6 +22,8 @@ from .sop import Cube
 from .truthtable import MAX_N, TruthTable
 
 MAX_OUTPUTS = 1024
+# The least and the most value of each integer directive.
+_INT_DIRECTIVES = {".i": (1, MAX_N), ".o": (1, MAX_OUTPUTS), ".p": (0, math.inf)}
 
 
 @dataclass(frozen=True)
@@ -33,23 +36,10 @@ class PlaDocument:
 
 
 def parse_pla(text: str) -> PlaDocument:
-    num_inputs: int | None = None
-    num_outputs: int | None = None
-    declared: int | None = None
+    ints: dict[str, int] = {}
     rows: list[tuple[str, str]] = []
     warnings: list[str] = []
     terminated = False
-    seen: set[str] = set()
-
-    def intarg(parts: list[str], lineno: int, directive: str) -> int:
-        # str.isdigit and int() also take non-ASCII digits.
-        if len(parts) != 2 or not re.fullmatch("[0-9]+", parts[1]):
-            raise PlaFormatError(lineno, f"{directive} needs one integer argument")
-        if directive in seen:
-            raise PlaFormatError(lineno, f"repeated {directive} directive")
-        seen.add(directive)
-        return int(parts[1])
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -59,20 +49,18 @@ def parse_pla(text: str) -> PlaDocument:
         parts = line.split()
         if line.startswith("."):
             directive = parts[0]
-            if directive == ".i":
-                num_inputs = intarg(parts, lineno, ".i")
-                if not 1 <= num_inputs <= MAX_N:
+            if directive in _INT_DIRECTIVES:
+                # str.isdigit and int() also take non-ASCII digits.
+                if len(parts) != 2 or not re.fullmatch("[0-9]+", parts[1]):
+                    raise PlaFormatError(lineno, f"{directive} needs one integer argument")
+                if directive in ints:
+                    raise PlaFormatError(lineno, f"repeated {directive} directive")
+                least, most = _INT_DIRECTIVES[directive]
+                value = ints[directive] = int(parts[1])
+                if not least <= value <= most:
                     raise PlaFormatError(
-                        lineno, f".i {num_inputs} is outside 1..{MAX_N}"
+                        lineno, f"{directive} {value} is outside {least}..{most}"
                     )
-            elif directive == ".o":
-                num_outputs = intarg(parts, lineno, ".o")
-                if not 1 <= num_outputs <= MAX_OUTPUTS:
-                    raise PlaFormatError(
-                        lineno, f".o {num_outputs} is outside 1..{MAX_OUTPUTS}"
-                    )
-            elif directive == ".p":
-                declared = intarg(parts, lineno, ".p")
             elif directive == ".e":
                 terminated = True
             elif directive in (".ilb", ".ob"):
@@ -80,6 +68,7 @@ def parse_pla(text: str) -> PlaDocument:
             else:
                 raise PlaFormatError(lineno, f"unknown directive {directive}")
             continue
+        num_inputs, num_outputs = ints.get(".i"), ints.get(".o")
         if num_inputs is None or num_outputs is None:
             raise PlaFormatError(lineno, "cube row before .i/.o header")
         if len(parts) != 2:
@@ -100,15 +89,16 @@ def parse_pla(text: str) -> PlaDocument:
         rows.append((cube, outs))
 
     last = text.count("\n") + 1
-    if num_inputs is None or num_outputs is None:
+    if ".i" not in ints or ".o" not in ints:
         raise PlaFormatError(last, "missing .i/.o header")
     if not terminated:
         raise PlaFormatError(last, "missing .e terminator")
+    declared = ints.get(".p")
     if declared is not None and declared != len(rows):
         raise PlaFormatError(last, f".p {declared} does not match {len(rows)} rows")
     return PlaDocument(
-        num_inputs=num_inputs,
-        num_outputs=num_outputs,
+        num_inputs=ints[".i"],
+        num_outputs=ints[".o"],
         rows=tuple(rows),
         declared_products=declared,
         warnings=tuple(warnings),

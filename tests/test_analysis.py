@@ -219,6 +219,10 @@ def test_sweep_sizes_and_order(sweep3):
     assert [r.index for r in sweep3] == list(range(256))
     with pytest.raises(ValueError):
         sweep(5)
+    # 4.0 used to fail later with a TypeError, and True ran the n=1 sweep.
+    for n in (4.0, True):
+        with pytest.raises(ValueError, match="exhaustive sweeps support n in 1..4"):
+            sweep(n)
 
 
 def test_sweep_parallel_determinism():

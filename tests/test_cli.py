@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bfforms import cli
+from bfforms import cli, kernels
+from bfforms.costs import CRITERIA
+from conftest import kernel_backends
 
 DATA = Path(__file__).parent / "data"
 
@@ -128,6 +130,13 @@ def test_input_format_errors_exit_2(tmp_path):
     assert result.stderr == "error: line 4: repeated .i directive\n"
     missing = run_cli("analyze", "--n", "2", "--pla", str(tmp_path / "nope.pla"))
     assert missing.returncode == 2
+    # --form cfr used to accept any --polarity; it is checked under every form.
+    and2 = str(DATA / "and2.pla")
+    for polarity, message in (("abc", "--polarity must be an integer or 'best'"),
+                              ("99", "--polarity 99 out of range for n=2")):
+        result = run_cli("convert", "--pla", and2, "--form", "cfr", "--polarity", polarity)
+        assert result.returncode == 2
+        assert result.stderr == f"error: {message}\n"
 
 
 def test_file_errors_exit_2(tmp_path):
@@ -513,3 +522,33 @@ def test_argv_keeps_the_exit_contract(path_dir, argv):
         assert lines[-1].startswith("error:"), err.getvalue()
         assert sum(line.startswith("error:") for line in lines) == 1, err.getvalue()
         assert set(path_dir.iterdir()) == before
+
+
+BACKENDS = kernel_backends()
+
+
+@st.composite
+def analyze_json_argv(draw):
+    n = draw(st.integers(1, 6))
+    index = draw(st.integers(0, (1 << (1 << n)) - 1))
+    criterion = draw(st.sampled_from(CRITERIA))
+    return ["analyze", "--n", str(n), "--tt", f"{index:x}", "--criterion", criterion,
+            "--format", "json"]  # fmt: skip
+
+
+# Only without a C compiler: tests/conftest.py builds the kernel otherwise.
+@pytest.mark.skipif(len(BACKENDS) < 2, reason="compiled kernels not built")
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(argv=analyze_json_argv())
+def test_analyze_json_is_the_same_on_both_twins(argv):
+    replies = []
+    for impl in BACKENDS:
+        out = io.StringIO()
+        with (
+            pytest.MonkeyPatch.context() as patch,
+            contextlib.redirect_stdout(out),
+            contextlib.redirect_stderr(io.StringIO()),
+        ):
+            patch.setattr(kernels, "_impl", impl)
+            replies.append((cli.main(argv), out.getvalue()))
+    assert replies[0] == replies[1], argv

@@ -675,7 +675,12 @@ def test_kernel_selection_env(monkeypatch):
     assert kernels.BACKEND == "compiled"
 
 
-BAD_INPUTS = [(2, 1 << 5), (3, 0x1FF), (3, -1), (0, 1), (7, 3)]
+# An n or an index that is not an int, or is a bool, is as bad as one out
+# of range: 2.0 and 1.0 used to fail inside a twin, and True passed.
+BAD_INPUTS = [
+    (2, 1 << 5), (3, 0x1FF), (3, -1), (0, 1), (7, 3),
+    (2.0, 1), (True, 1), (2, 1.0), (2, True),
+]  # fmt: skip
 
 
 @pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
@@ -863,7 +868,8 @@ def test_compiled_kernel_under_sanitizers(tmp_path):
     shutil.copytree(src, copy, ignore=shutil.ignore_patterns("*.so", "__pycache__"))
     library = copy / ("_ckernel" + sysconfig.get_config_var("EXT_SUFFIX"))
     subprocess.run(
-        ["gcc", "-O1", "-g", "-fsanitize=address,undefined",
+        ["gcc", "-std=c99", "-Wall", "-Wextra", "-Werror",
+         "-O1", "-g", "-fsanitize=address,undefined",
          "-fno-sanitize-recover=undefined", "-shared", "-fPIC",
          "-o", str(library), str(copy / "_ckernel.c")],
         check=True, capture_output=True,

@@ -66,7 +66,8 @@ def test_representatives_are_least_of_their_orbits(n):
 
 
 def test_np_classes_rejects_n():
-    for n in (0, 5):
+    # 2.0 and True used to pass the range check.
+    for n in (0, 5, 2.0, True):
         with pytest.raises(ValueError):
             np_classes(n)
 
