@@ -20,9 +20,10 @@ times the NP-class enumeration that exhaustive sweeps run before the
 kernel, for n=3 and n=4, and prints the class counts.  Last, it runs the
 SOP cover search on the 126 non-constant symmetric functions of six
 inputs, the hardest known inputs for it, and prints how many finish under
-a 1 s guard and the slowest finish: the count search of each backend (the
-pure `min_sop_counts`, the compiled `analyze_batch` of one function), then
-`minimize_sop`, whose cover search is the pure one on either backend.
+a 1 s guard, the total time of the searches that finish and the slowest
+one: the count search of each backend (the pure `min_sop_counts`, the
+compiled `analyze_batch` of one function), then `minimize_sop`, whose
+cover search is the pure one on either backend.
 Usage:
 
     python benchmarks/bench_kernels.py [--n4-count 8192] [--n5-count 2048]
@@ -85,18 +86,20 @@ def symmetric_functions(n):
 
 
 def bench_symmetric(search, guard_s):
-    """(finished, slowest seconds, its index) of ``search(index, guard_s)``
-    over the n=6 symmetric functions."""
-    finished, slowest = 0, (0.0, 0)
+    """(finished, their total seconds, slowest seconds, its index) of
+    ``search(index, guard_s)`` over the n=6 symmetric functions."""
+    finished, total, slowest = 0, 0.0, (0.0, 0)
     for index in symmetric_functions(6):
         start = time.perf_counter()
         try:
             search(index, guard_s)
         except GuardTimeoutError:
             continue
+        elapsed = time.perf_counter() - start
         finished += 1
-        slowest = max(slowest, (time.perf_counter() - start, index))
-    return finished, *slowest
+        total += elapsed
+        slowest = max(slowest, (elapsed, index))
+    return finished, total, *slowest
 
 
 def main():
@@ -163,9 +166,9 @@ def main():
         ("minimize_sop", lambda i, g: minimize_sop(TruthTable.from_index(6, i), g))
     )
     for label, search in searches:
-        finished, elapsed, index = bench_symmetric(search, SYMMETRIC_GUARD_S)
+        finished, spent, elapsed, index = bench_symmetric(search, SYMMETRIC_GUARD_S)
         print(
-            f"  {label:12s} {finished:3d}/{total} finish, "
+            f"  {label:12s} {finished:3d}/{total} finish in {spent:.2f}s, "
             f"slowest {elapsed:.3f}s ({index:#x})"
         )
 

@@ -35,6 +35,7 @@
  * kernel.  Concurrent calls share nothing.
  */
 #define _POSIX_C_SOURCE 199309L /* clock_gettime */
+#include <limits.h>
 #include <stddef.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -211,23 +212,10 @@ static int min_cover(struct search *st, uint64_t *cov, uint8_t *lits, int np, ui
     st->cov = cov;
     st->lits = lits;
     st->ncand = nc;
-    st->best = cost;
+    /* The search starts unbounded: its first leaf sets the bound. */
+    st->best = INT_MAX;
     st->nodes = 0;
     st->deadline = deadline;
-
-    /* Greedy cover seeds the branch-and-bound upper bound. */
-    for (uint64_t g = uncov; g;) {
-        int pick = 0, gain = 0;
-        for (int i = 0; i < nc; i++)
-            if (__builtin_popcountll(cov[i] & g) > gain) {
-                gain = __builtin_popcountll(cov[i] & g);
-                pick = i;
-            }
-        if (!gain)
-            return BAD_INPUT; /* on rows outside every prime */
-        g &= ~cov[pick];
-        st->best += TERM + lits[pick];
-    }
 
     /* Candidates are fixed for the search, so each core row's count of
      * them is too: sort the rows once by (count, row). */
@@ -237,6 +225,8 @@ static int min_cover(struct search *st, uint64_t *cov, uint8_t *lits, int np, ui
         int c = 0;
         for (int i = 0; i < nc; i++)
             c += (cov[i] & row) != 0;
+        if (!c)
+            return BAD_INPUT; /* an on row outside every prime */
         int k = nrows++;
         for (; k > 0 && count[k - 1] > c; k--) {
             st->order[k] = st->order[k - 1];

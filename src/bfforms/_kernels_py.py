@@ -238,25 +238,11 @@ def _least_cost_cover(
     """(least total cost, chosen positions) of a prime cover of ``on``.
 
     ``cand`` holds (rows, positive cost, position) per prime, positions
-    ascending.
+    ascending.  A row of ``on`` in no prime raises ValueError.
     """
     cand, uncov, cost, taken = _cyclic_core(cand, on)
     if not uncov:
         return cost, taken
-
-    # Greedy cover seeds the branch-and-bound upper bound, and its path the
-    # answer: the search never records a cover of equal cost.
-    best = [cost, None]
-    rest = uncov
-    while rest:
-        cov, step, pos = max(
-            cand, key=lambda c: (c[0] & rest).bit_count(), default=(0, 0, 0)
-        )
-        if not cov & rest:
-            raise ValueError("on-set rows outside every prime implicant")
-        rest &= ~cov
-        best[0] += step
-        best[1] = (pos, best[1])
 
     # Candidates are fixed for the search, so each uncovered row's count of
     # them is too: order the rows once by (count, row), each with the
@@ -267,11 +253,15 @@ def _least_cost_cover(
         row = m & -m
         m ^= row
         covering = [c for c in cand if c[0] & row]
+        if not covering:
+            raise ValueError("on-set rows outside every prime implicant")
         order.append((len(covering), row, covering))
     order.sort(key=lambda entry: entry[:2])
     # Any completion costs at least one more candidate.
     least = min(step for _, step, _ in cand)
 
+    # The search starts unbounded: its first leaf sets the bound.
+    best = [float("inf"), None]
     nodes = [0]
     # Transposition table: the least cost at which each uncovered set was
     # reached.  Reaching it again at no lower cost adds nothing, since every

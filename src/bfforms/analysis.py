@@ -27,7 +27,7 @@ from .guard import resolve_guard
 from .npclasses import np_classes
 from .reedmuller import best_polarity, RmPolynomial
 from .sop import minimize_sop, SopForm
-from .truthtable import TruthTable, sample_uniform
+from .truthtable import TruthTable, _is_int, sample_uniform
 
 FORMS = ("cfr", "afr", "rm")
 SCENARIOS = ("cfr", "cfr+afr", "cfr+rm", "ofr")
@@ -223,9 +223,8 @@ def analyze_function(
     if criterion not in costs.CRITERIA:
         raise ValueError(f"unknown criterion {criterion!r}")
     sop = minimize_sop(tt, guard_s)
-    lits = [c.literal_count for c in sop.terms]
-    counts = (len(lits), len(lits) - lits.count(0), sum(lits))
-    counts += kernels.polarity_minima(tt.n, tt.index)
+    cfr = costs.cost_of_sop(sop)
+    counts = (cfr.s_ad, cfr.s_sh, cfr.s_l) + kernels.polarity_minima(tt.n, tt.index)
     return FunctionAnalysis(
         table=tt,
         criterion=criterion,
@@ -416,8 +415,8 @@ def _batch(n: int, draw, jobs: int, guard_s: float | None):
     ``_CHUNK`` indices, or one job, runs in this process; the rows are the
     same for every ``jobs`` value.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if not _is_int(jobs) or jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs!r}")
     guard = resolve_guard(guard_s)
     indices = draw()
     chunks = [
@@ -448,7 +447,7 @@ def sweep(n: int, jobs: int = 1, guard_s: float | None = None) -> SweepRecords:
     of worker processes, as in :func:`sampled_sweep`, but the calls fit one
     chunk, so they run in this process.  ``jobs`` below 1 raises ValueError.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n not in (1, 2, 3, 4):
+    if not _is_int(n) or n not in (1, 2, 3, 4):
         raise ValueError(f"exhaustive sweeps support n in 1..4, got {n!r}")
     reps, rows = _batch(n, lambda: np_classes(n).representatives, jobs, guard_s)
     classes = np_classes(n)
@@ -464,7 +463,7 @@ def sampled_sweep(
     NP class.  ``jobs`` is the number of worker processes; the result is the
     same for every value, and one below 1 raises ValueError.
     """
-    if n > 5:
-        raise ValueError(f"sampled sweeps support n <= 5, got {n}")
+    if not _is_int(n) or n > 5:
+        raise ValueError(f"sampled sweeps support n <= 5, got {n!r}")
     indices, rows = _batch(n, lambda: sample_uniform(n, count, seed), jobs, guard_s)
     return SweepRecords._one_per_class(indices, rows)

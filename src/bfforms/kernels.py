@@ -5,10 +5,10 @@ compiled kernel is built; ctypes is then never imported.  Both backends
 implement identical semantics and produce identical counts; ``BACKEND``
 names the active one.  Each exports two batch entries, ``analyze_batch``
 and ``polarity_minima_batch``; the one-function forms here are batches of
-one.  The functions here check ``n`` and every index before any kernel
-runs, raising ValueError unless each is an int, not a bool, with
-``1 <= n <= 6`` and ``0 <= index < 2**2**n``, and resolve every time
-guard with :func:`bfforms.guard.resolve_guard`: a call without
+one.  The functions here check ``n`` and every index or index bound
+before any kernel runs, raising ValueError unless each is an int, not a
+bool, with ``1 <= n <= 6`` and ``0 <= index < 2**2**n``, and resolve
+every time guard with :func:`bfforms.guard.resolve_guard`: a call without
 ``guard_s`` follows ``BFFORMS_GUARD_SECS``, and a NaN guard raises
 ValueError.
 """
@@ -19,6 +19,7 @@ import os
 from typing import Sequence
 
 from .guard import resolve_guard
+from .truthtable import _is_int
 
 if os.environ.get("BFFORMS_PURE") == "1":
     from . import _kernels_py as _impl
@@ -29,10 +30,6 @@ else:
         from . import _kernels_py as _impl
 
 BACKEND = _impl.BACKEND
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check(n: int, *indices: int) -> None:
@@ -64,7 +61,7 @@ def sweep_counts(
     n: int, start: int, stop: int, guard_s: float | None = None
 ) -> list[tuple[int, ...]]:
     _check(n)
-    if not 0 <= start <= stop <= 1 << (1 << n):
+    if not (_is_int(start) and _is_int(stop) and 0 <= start <= stop <= 1 << (1 << n)):
         raise ValueError(f"index range [{start}, {stop}) out of range for n={n}")
     return _impl.analyze_batch(n, range(start, stop), resolve_guard(guard_s))
 

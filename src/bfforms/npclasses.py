@@ -22,6 +22,8 @@ from array import array
 from dataclasses import dataclass
 from functools import cache
 
+from .truthtable import _is_int
+
 _UNSEEN = 0xFFFF
 
 
@@ -71,7 +73,7 @@ def _byte_tables(n: int, row_map: list[int]) -> tuple[list[int], list[int]]:
 @cache
 def np_classes(n: int) -> NpClasses:
     """The NP classes of n variables, computed once per n (1 <= n <= 4)."""
-    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= 4:
+    if not _is_int(n) or not 1 <= n <= 4:
         raise ValueError(f"NP classes are enumerated for n in 1..4, got {n!r}")
     tables = [_byte_tables(n, m) for m in _generator_rows(n)]
     class_of = array("H", [_UNSEEN]) * (1 << (1 << n))

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import costs
-from .truthtable import Assignment, TruthTable, _validate_n, product_string
+from .truthtable import Assignment, TruthTable, _is_int, _validate_n, product_string
 
 
 @dataclass(frozen=True)
@@ -153,7 +153,7 @@ def best_polarity(
 
 def fprm_count(n: int) -> int:
     """Number of fixed-polarity polynomials over all functions: 2**n * 2**2**n."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ValueError(f"variable count must be a positive int, got {n!r}")
     # Python integers are unbounded, so the product cannot silently wrap.
     return (1 << n) * (1 << (1 << n))
@@ -165,7 +165,7 @@ def class_power(n: int, k: int) -> int:
     Built from the boundary values E(n, 0) = E(n, n) = 1, E(n, 1) = n and
     the recurrence E(n, k) = E(n-1, k) + E(n-1, k-1); equals C(n, k).
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ValueError(f"variable count must be a positive int, got {n!r}")
     if not 0 <= k <= n:
         raise ValueError(f"class degree {k} out of range for n={n}")

@@ -17,8 +17,13 @@ MAX_N = 6  # single-function operations
 MAX_ENUM_N = 4  # exhaustive enumeration
 
 
+def _is_int(value) -> bool:
+    """The package's rule for an integer argument: an int, not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _validate_n(n: int, limit: int = MAX_N) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= limit:
+    if not _is_int(n) or not 1 <= n <= limit:
         raise ValueError(f"variable count must be an int in [1, {limit}], got {n!r}")
 
 
@@ -164,13 +169,14 @@ def sample_uniform(n: int, count: int, seed: int) -> list[int]:
 
     Sampling is with replacement.  Draw ``k`` is the top ``2**n`` bits of
     the ``k``-th splitmix64 output, which is exactly uniform because the
-    range is a power of two.  ``count`` must be at least 1 and ``seed`` in
-    0..2**64-1, so that distinct seeds give distinct samples.
+    range is a power of two.  ``count`` must be an int of at least 1 and
+    ``seed`` one in 0..2**64-1, so that distinct seeds give distinct
+    samples; neither may be a bool.
     """
     _validate_n(n)
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    if not 0 <= seed <= _MASK64:
-        raise ValueError(f"seed must be in 0..2**64-1, got {seed}")
+    if not _is_int(count) or count < 1:
+        raise ValueError(f"count must be >= 1, got {count!r}")
+    if not _is_int(seed) or not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must be in 0..2**64-1, got {seed!r}")
     shift = 64 - (1 << n)
     return [z >> shift for z in splitmix64(seed, count)]

@@ -137,10 +137,10 @@ def plain_min_cover(pcov: list[int], plit: list[int], on: int) -> tuple[int, int
     """Exact minimum (terms, literals) cover of the ``on`` rows by the primes.
 
     ``pcov`` holds each prime's rows as a mask, ``plit`` its literal count.
-    Plain branch-and-bound with no reductions: no essential primes, no
-    dominance, no greedy bound.  It branches on the uncovered row with the
-    fewest covering primes and prunes a branch that cannot beat the best
-    (terms, literals) found, since each further term adds a literal.
+    Plain branch-and-bound with no reductions: no essential primes and no
+    dominance.  It branches on the uncovered row with the fewest covering
+    primes and prunes a branch that cannot beat the best (terms, literals)
+    found, since each further term adds a literal.
     """
     best = [(len(pcov) + 1, 0)]
 

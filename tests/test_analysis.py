@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import kernel_backends
-from bfforms import cli, costs, kernels
+from bfforms import analysis, cli, costs, kernels
 from bfforms.analysis import (
     FORMS,
     SCENARIOS,
@@ -331,12 +331,19 @@ def test_process_pool_bounded_by_chunks(monkeypatch, tmp_path):
     assert sizes == [2]
 
 
-def test_jobs_below_one_rejected():
-    for jobs in (0, -1):
+def test_jobs_below_one_rejected(monkeypatch):
+    # A bad argument is rejected before any sample is drawn.
+    drawn = []
+    monkeypatch.setattr(analysis, "sample_uniform", lambda *args: drawn.append(args))
+    for jobs in (0, -1, 2.5, True, "2"):
         with pytest.raises(ValueError, match="jobs"):
             sweep(2, jobs=jobs)
-        with pytest.raises(ValueError, match="jobs"):
-            sampled_sweep(3, 10, seed=1, jobs=jobs)
+        for count in (10, 5000):
+            with pytest.raises(ValueError, match="jobs"):
+                sampled_sweep(3, count, seed=1, jobs=jobs)
+    with pytest.raises(ValueError, match="n <= 5"):
+        sampled_sweep("5", 10, seed=1)
+    assert drawn == []
 
 
 def test_record_vectors_satisfy_cost_invariants(sweep3):

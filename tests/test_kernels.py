@@ -420,8 +420,13 @@ def test_min_cover_dominance_edge_cases(impl, name):
 
 @pytest.mark.parametrize("impl", [pure], ids=lambda m: m.BACKEND)
 def test_min_cover_rejects_uncovered_rows(impl):
-    with pytest.raises(ValueError):
+    # Row 0b100 is left alone once both primes are taken as essentials.
+    with pytest.raises(ValueError, match="outside every prime implicant"):
         count_cover(impl, [0b01, 0b10], [1, 1], 0b111)
+    # A triangle: no row is sole and no prime dominates, so the core keeps
+    # all three primes, and row 0b1000 is in none of them.
+    with pytest.raises(ValueError, match="outside every prime implicant"):
+        count_cover(impl, [0b0011, 0b0101, 0b0110], [2, 2, 2], 0b1111)
 
 
 def count_cover(impl, pcov, plit, on):
@@ -806,8 +811,9 @@ def test_facade_checks_the_whole_batch_first(impl, monkeypatch):
     for batch in ([3, 1 << 8], [1 << 8, 3], [3, -1, 5]):
         with pytest.raises(ValueError):
             kernels.analyze_batch(3, batch)
-    with pytest.raises(ValueError):
-        kernels.sweep_counts(3, 0, 257)
+    for start, stop in ((0, 257), (0, 2.5), (True, 3)):
+        with pytest.raises(ValueError):
+            kernels.sweep_counts(3, start, stop)
     assert calls == []
 
 

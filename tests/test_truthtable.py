@@ -121,8 +121,9 @@ def test_sample_uniform_single_draw_in_range():
 
 
 def test_sample_uniform_count_validation():
-    with pytest.raises(ValueError):
-        sample_uniform(3, 0, seed=1)
+    for count, seed in ((0, 1), (2.5, 1), (4, 1.5), (True, 1), (4, True)):
+        with pytest.raises(ValueError):
+            sample_uniform(3, count, seed=seed)
 
 
 @settings(deadline=None)
