@@ -17,26 +17,38 @@ both polynomial forms, once as the lane-parallel batch that sweeps use
 (`polarity_minima_batch`) and once as a batch of one per function (what
 `kernels.polarity_minima` runs for `analyze`).  It then
 times the NP-class enumeration that exhaustive sweeps run before the
-kernel, for n=3 and n=4, and prints the class counts.  Last, it runs the
+kernel, for n=3 and n=4, and prints the class counts.  It then times the
+report writers in-process on the records of `sweep(4)` and of
+`sampled_sweep(5, 4096, 1)`: each file's table build and binary write
+(`records.csv`, `rei.csv`, `weights.csv`, `losses.csv`, `summary.json`),
+then the whole `write_sweep_reports` call with its `aggregate`, each the
+minimum of `--report-runs` runs.  Last, it runs the
 SOP cover search on the 126 non-constant symmetric functions of six
 inputs, the hardest known inputs for it, and prints how many finish under
-a 1 s guard, the total time of the searches that finish and the slowest
-one: the count search of each backend (the pure `min_sop_counts`, the
-compiled `analyze_batch` of one function), then `minimize_sop`, whose
-cover search is the pure one on either backend.
+a 1 s guard, with the median (p50) and the largest time of a finishing
+search: a max close to the guard means the count moves with the
+machine's load, as searches on either side of the guard trade places.
+The searches are the count search of each backend (the
+pure `min_sop_counts`, the compiled `analyze_batch` of one function), then
+`minimize_sop`, whose cover search is the pure one on either backend.
 Usage:
 
     python benchmarks/bench_kernels.py [--n4-count 8192] [--n5-count 2048]
+                                       [--report-runs 20]
 """
 
 import argparse
+import json
+import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from bfforms import _kernels_py, _sop_planes, npclasses  # noqa: E402
+from bfforms import _kernels_py, _sop_planes, npclasses, reports  # noqa: E402
+from bfforms.analysis import aggregate, sampled_sweep, sweep  # noqa: E402
 from bfforms.errors import GuardTimeoutError  # noqa: E402
 from bfforms.guard import DEFAULT_GUARD_SECS  # noqa: E402
 from bfforms.sop import minimize_sop  # noqa: E402
@@ -86,9 +98,9 @@ def symmetric_functions(n):
 
 
 def bench_symmetric(search, guard_s):
-    """(finished, their total seconds, slowest seconds, its index) of
+    """(finished, their seconds each, slowest index) of
     ``search(index, guard_s)`` over the n=6 symmetric functions."""
-    finished, total, slowest = 0, 0.0, (0.0, 0)
+    times, slowest = [], (0.0, 0)
     for index in symmetric_functions(6):
         start = time.perf_counter()
         try:
@@ -96,16 +108,62 @@ def bench_symmetric(search, guard_s):
         except GuardTimeoutError:
             continue
         elapsed = time.perf_counter() - start
-        finished += 1
-        total += elapsed
+        times.append(elapsed)
         slowest = max(slowest, (elapsed, index))
-    return finished, total, *slowest
+    return len(times), times, slowest[1]
+
+
+def bench_reports(records, n, sampled, runs):
+    """(label, least seconds over ``runs``) of each report writer."""
+    stats = aggregate(records)
+    rei = reports.rei_table(stats)
+    weights = reports.weights_table(stats, sampled is not None)
+    losses = reports.losses_table(stats)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+
+        def table_writer(name, build):
+            def write():
+                with (out / name).open("wb") as file:
+                    build().write_csv(file)
+
+            return write
+
+        def write_summary():
+            summary = reports.summary_json(stats, n, rei, weights, losses, sampled)
+            text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+            (out / "summary.json").write_bytes(text.encode("ascii"))
+
+        builders = {
+            "records.csv": lambda: reports.records_table(records),
+            "rei.csv": lambda: reports.rei_table(stats),
+            "weights.csv": lambda: reports.weights_table(stats, sampled is not None),
+            "losses.csv": lambda: reports.losses_table(stats),
+        }
+        writers = [(name, table_writer(name, f)) for name, f in builders.items()]
+        writers.append(("summary.json", write_summary))
+        writers.append(
+            (
+                "write_sweep_reports",
+                lambda: reports.write_sweep_reports(records, n, out / "all", sampled),
+            )
+        )
+        timings = []
+        for label, write in writers:
+            best = float("inf")
+            for _ in range(runs):
+                start = time.perf_counter()
+                write()
+                best = min(best, time.perf_counter() - start)
+            timings.append((label, best))
+    return timings
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n4-count", type=int, default=8192)
     parser.add_argument("--n5-count", type=int, default=2048)
+    parser.add_argument("--report-runs", type=int, default=20)
     args = parser.parse_args()
 
     workloads = [
@@ -156,6 +214,15 @@ def main():
         classes = npclasses.np_classes(n)
         elapsed = time.perf_counter() - start
         print(f"n={n} NP classes: {len(classes.representatives)} in {elapsed:.3f}s")
+    sample = {"count": 4096, "seed": 1}
+    report_runs = [
+        ("sweep(4)", sweep(4), 4, None),
+        ("sampled_sweep(5, 4096, 1)", sampled_sweep(5, **sample), 5, sample),
+    ]
+    for label, records, n, sampled in report_runs:
+        print(f"report writers, {label}: least of {args.report_runs} runs")
+        for name, elapsed in bench_reports(records, n, sampled, args.report_runs):
+            print(f"  {name:21s} {1000 * elapsed:8.2f} ms")
     total = len(symmetric_functions(6))
     print(f"n=6 symmetric, SOP cover search under a {SYMMETRIC_GUARD_S:g}s guard")
     searches = [("pure", lambda i, g: _kernels_py.min_sop_counts(6, i, g))]
@@ -166,10 +233,11 @@ def main():
         ("minimize_sop", lambda i, g: minimize_sop(TruthTable.from_index(6, i), g))
     )
     for label, search in searches:
-        finished, spent, elapsed, index = bench_symmetric(search, SYMMETRIC_GUARD_S)
+        finished, times, index = bench_symmetric(search, SYMMETRIC_GUARD_S)
         print(
-            f"  {label:12s} {finished:3d}/{total} finish in {spent:.2f}s, "
-            f"slowest {elapsed:.3f}s ({index:#x})"
+            f"  {label:12s} {finished:3d}/{total} finish, each in "
+            f"p50 {1000 * statistics.median(times):.2f} ms, "
+            f"max {1000 * max(times):.1f} ms ({index:#x})"
         )
 
 

@@ -14,9 +14,10 @@ Each statistic cell is computed once, by its table: :func:`rei_table`,
 :class:`~bfforms.analysis.SweepStats`, built by a single pass over the
 class rows, and :func:`summary_json` builds every block from the rows of
 the same three tables that the CSV files are written from.
-The records table renders each class's row once; ``records.csv`` joins it
-with the index of each function in the class ``BLOCK_LINES`` lines at a
-time, so the file is never held whole.
+The records table renders each class's 15 cost cells once, as bytes;
+``records.csv`` is then formatted ``BLOCK_LINES`` functions at a time, each
+block by one bytes ``%`` call over its indices and their classes' cells,
+so the file is never held whole.  Every report file is written in binary.
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from pathlib import Path
-from typing import TextIO
+from typing import BinaryIO
 
 from . import reference
 from .analysis import SCENARIOS, SweepRecords, SweepStats, aggregate
@@ -72,31 +72,35 @@ def _cell(value) -> str:
 class ReportTable:
     """A table of exact rationals/integers/floats/strings.
 
-    Its rows are tuples of cells, or all lines its builder already rendered;
-    the records table renders such lines lazily, afresh on each write.
+    Its rows are tuples of cells, or blocks of lines its builder already
+    rendered as ASCII bytes; the records table renders such blocks lazily,
+    afresh on each write.
     """
 
     headers: tuple[str, ...]
-    rows: Iterable[tuple | str]
+    rows: Iterable[tuple | bytes]
 
     def _line(self, row: tuple) -> str:
         if len(row) != len(self.headers):
             raise ValueError("row width does not match headers")
         return ",".join([_cell(v) for v in row])
 
-    def write_csv(self, file: TextIO) -> None:
-        """Write the header line, then the rows a block of lines at a time."""
-        file.write(",".join(self.headers) + "\n")
-        rows = iter(self.rows)
-        while block := list(islice(rows, BLOCK_LINES)):
-            if not isinstance(block[0], str):
-                block = [self._line(row) for row in block]
-            file.write("\n".join(block) + "\n")
+    def write_csv(self, file: BinaryIO) -> None:
+        """Write the header line, then each row, to a binary file.
+
+        A bytes block goes out as it is, a tuple row as one ASCII line.
+        """
+        file.write(",".join(self.headers).encode("ascii") + b"\n")
+        for row in self.rows:
+            if isinstance(row, bytes):
+                file.write(row)
+            else:
+                file.write(self._line(row).encode("ascii") + b"\n")
 
     def render_csv(self) -> str:
-        text = io.StringIO()
-        self.write_csv(text)
-        return text.getvalue()
+        data = io.BytesIO()
+        self.write_csv(data)
+        return data.getvalue().decode("ascii")
 
 
 def _rational_json(value: Fraction) -> dict:
@@ -166,29 +170,39 @@ def records_table(records) -> ReportTable:
     """One row per function: its index, then 5 cost cells per form.
 
     The cost cells are a class's cost row, already in column order, so
-    each class's row is rendered once and each function's line joins it
-    with the function's index as the table is written.
+    each class's cells are rendered once and each block of lines joins
+    them with the functions' indices as the table is written.
     """
     recs = SweepRecords.of(records)
     headers = ["index"]
     for form in ("cfr", "rm", "afr"):
         headers.extend(f"{form}_{c}" for c in CRITERIA)
-    cell_format = ",".join(["%s"] * (len(headers) - 1))
+    cell_format = b",".join([b"%d"] * (len(headers) - 1))
     cells = [cell_format % row for row in recs.class_rows]
     return ReportTable(tuple(headers), _RecordLines(recs.indices, recs.class_of, cells))
 
 
 @dataclass(frozen=True)
 class _RecordLines:
-    """The records table's lines: each pass renders them again, one by one."""
+    """The records table's rows: blocks of ``BLOCK_LINES`` lines as bytes.
+
+    Each pass renders the blocks again, one ``%`` call per block.
+    """
 
     indices: Sequence[int]
     class_of: Sequence[int]
-    cells: Sequence[str]
+    cells: Sequence[bytes]
 
     def __iter__(self):
-        cells = self.cells
-        return (f"{i},{cells[c]}" for i, c in zip(self.indices, self.class_of))
+        cell = self.cells.__getitem__
+        for start in range(0, len(self.indices), BLOCK_LINES):
+            stop = start + BLOCK_LINES
+            idx = self.indices[start:stop]
+            # index, cells, index, cells, ... for the block's lines.
+            args = [b""] * (2 * len(idx))
+            args[0::2] = idx
+            args[1::2] = map(cell, self.class_of[start:stop])
+            yield b"%d,%b\n" * len(idx) % tuple(args)
 
 
 def summary_json(
@@ -295,14 +309,11 @@ def write_sweep_reports(
     written = []
     for name, table in tables.items():
         path = out / name
-        with path.open("w", encoding="ascii", newline="\n") as file:
+        with path.open("wb") as file:
             table.write_csv(file)
         written.append(path)
     path = out / "summary.json"
-    path.write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n",
-        encoding="ascii",
-        newline="\n",
-    )
+    text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    path.write_bytes(text.encode("ascii"))
     written.append(path)
     return written

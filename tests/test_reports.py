@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import tracemalloc
 from fractions import Fraction
@@ -8,9 +9,10 @@ import pytest
 
 from conftest import kernel_backends
 from bfforms import analysis, cli, kernels, reports
-from bfforms.analysis import SweepRecord, aggregate, sweep
+from bfforms.analysis import SweepRecord, aggregate, sampled_sweep, sweep
 from bfforms.costs import CRITERIA, CostVector
 from bfforms.reports import (
+    BLOCK_LINES,
     ReportTable,
     format_rational,
     losses_table,
@@ -148,6 +150,50 @@ def test_records_table_renders_the_same_bytes_twice():
     first = table.render_csv()
     assert len(first.splitlines()) == 17
     assert table.render_csv() == first
+
+
+def _records_reference(records) -> bytes:
+    """records.csv built one line per record: index, then 15 cost cells."""
+    forms = ("cost_cfr", "cost_rm", "cost_afr")
+    header = ["index"] + [f"{f[5:]}_{c}" for f in forms for c in CRITERIA]
+    lines = [",".join(header)]
+    for rec in records:
+        cells = [getattr(getattr(rec, f), c) for f in forms for c in CRITERIA]
+        lines.append(",".join(map(str, [rec.index] + cells)))
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+@pytest.mark.parametrize("n", (3, 5))
+@pytest.mark.parametrize("count", (BLOCK_LINES - 1, BLOCK_LINES, BLOCK_LINES + 1))
+def test_records_csv_blocks_match_per_line_reference(tmp_path, n, count):
+    # One bytes block per BLOCK_LINES functions: the lines on either side
+    # of a block boundary, and a last block of one line, render as a
+    # per-line writer renders them; n=5 indices reach 2**32 - 1.
+    records = sampled_sweep(n, count, seed=9)
+    if n == 5:
+        assert max(records.indices) >= 2**31
+    write_sweep_reports(records, n, tmp_path, sampled={})
+    data = (tmp_path / "records.csv").read_bytes()
+    assert data == _records_reference(records)
+    as_list = io.BytesIO()
+    records_table(list(records)).write_csv(as_list)
+    assert as_list.getvalue() == data
+
+
+def test_write_csv_takes_a_binary_file(stats3):
+    # A tuple-row table with Fraction and float cells writes the ASCII
+    # bytes of its rendered text, one line per row.
+    table = weights_table(stats3, sampled=True)
+    kinds = {type(cell) for row in table.rows for cell in row}
+    assert {Fraction, float} <= kinds
+    data = io.BytesIO()
+    table.write_csv(data)
+    assert data.getvalue() == table.render_csv().encode("ascii")
+    expected = ["criterion,label,weight,stderr"] + [
+        f"{criterion},{label},{format_rational(weight)},{stderr:.6f}"
+        for criterion, label, weight, stderr in table.rows
+    ]
+    assert data.getvalue().decode("ascii").splitlines() == expected
 
 
 def test_no_reference_section_for_n2(tmp_path):
