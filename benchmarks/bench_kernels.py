@@ -17,12 +17,11 @@ both polynomial forms, once as the lane-parallel batch that sweeps use
 (`polarity_minima_batch`) and once as a batch of one per function (what
 `kernels.polarity_minima` runs for `analyze`).  It then
 times the NP-class enumeration that exhaustive sweeps run before the
-kernel, for n=3 and n=4, and prints the class counts.  It then times the
-report writers in-process on the records of `sweep(4)` and of
-`sampled_sweep(5, 4096, 1)`: each file's table build and binary write
-(`records.csv`, `rei.csv`, `weights.csv`, `losses.csv`, `summary.json`),
-then the whole `write_sweep_reports` call with its `aggregate`, each the
-minimum of `--report-runs` runs.  Last, it runs the
+kernel, for n=3 and n=4, and prints the class counts.  It then times
+`write_sweep_reports` in-process on the records of `sweep(4)` and of
+`sampled_sweep(5, 4096, 1)`, as the least of `REPORT_RUNS` runs; the
+per-file split is in the `reports.*` figures of `e2ebench/run.py --trace 1`.
+Last, it runs the
 SOP cover search on the 126 non-constant symmetric functions of six
 inputs, the hardest known inputs for it, and prints how many finish under
 a 1 s guard, with the median (p50) and the largest time of a finishing
@@ -34,11 +33,9 @@ pure `min_sop_counts`, the compiled `analyze_batch` of one function), then
 Usage:
 
     python benchmarks/bench_kernels.py [--n4-count 8192] [--n5-count 2048]
-                                       [--report-runs 20]
 """
 
 import argparse
-import json
 import statistics
 import sys
 import tempfile
@@ -48,7 +45,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from bfforms import _kernels_py, _sop_planes, npclasses, reports  # noqa: E402
-from bfforms.analysis import aggregate, sampled_sweep, sweep  # noqa: E402
+from bfforms.analysis import sampled_sweep, sweep  # noqa: E402
 from bfforms.errors import GuardTimeoutError  # noqa: E402
 from bfforms.guard import DEFAULT_GUARD_SECS  # noqa: E402
 from bfforms.sop import minimize_sop  # noqa: E402
@@ -62,6 +59,7 @@ except ImportError:
     BACKENDS = [_kernels_py]
 
 SYMMETRIC_GUARD_S = 1.0
+REPORT_RUNS = 20
 
 
 def bench(impl, n, indices):
@@ -113,57 +111,21 @@ def bench_symmetric(search, guard_s):
     return len(times), times, slowest[1]
 
 
-def bench_reports(records, n, sampled, runs):
-    """(label, least seconds over ``runs``) of each report writer."""
-    stats = aggregate(records)
-    rei = reports.rei_table(stats)
-    weights = reports.weights_table(stats, sampled is not None)
-    losses = reports.losses_table(stats)
+def bench_reports(records, n, sampled):
+    """Least seconds of ``write_sweep_reports`` over ``REPORT_RUNS`` runs."""
+    best = float("inf")
     with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp)
-
-        def table_writer(name, build):
-            def write():
-                with (out / name).open("wb") as file:
-                    build().write_csv(file)
-
-            return write
-
-        def write_summary():
-            summary = reports.summary_json(stats, n, rei, weights, losses, sampled)
-            text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
-            (out / "summary.json").write_bytes(text.encode("ascii"))
-
-        builders = {
-            "records.csv": lambda: reports.records_table(records),
-            "rei.csv": lambda: reports.rei_table(stats),
-            "weights.csv": lambda: reports.weights_table(stats, sampled is not None),
-            "losses.csv": lambda: reports.losses_table(stats),
-        }
-        writers = [(name, table_writer(name, f)) for name, f in builders.items()]
-        writers.append(("summary.json", write_summary))
-        writers.append(
-            (
-                "write_sweep_reports",
-                lambda: reports.write_sweep_reports(records, n, out / "all", sampled),
-            )
-        )
-        timings = []
-        for label, write in writers:
-            best = float("inf")
-            for _ in range(runs):
-                start = time.perf_counter()
-                write()
-                best = min(best, time.perf_counter() - start)
-            timings.append((label, best))
-    return timings
+        for _ in range(REPORT_RUNS):
+            start = time.perf_counter()
+            reports.write_sweep_reports(records, n, Path(tmp), sampled)
+            best = min(best, time.perf_counter() - start)
+    return best
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n4-count", type=int, default=8192)
     parser.add_argument("--n5-count", type=int, default=2048)
-    parser.add_argument("--report-runs", type=int, default=20)
     args = parser.parse_args()
 
     workloads = [
@@ -219,10 +181,10 @@ def main():
         ("sweep(4)", sweep(4), 4, None),
         ("sampled_sweep(5, 4096, 1)", sampled_sweep(5, **sample), 5, sample),
     ]
+    print(f"write_sweep_reports, least of {REPORT_RUNS} runs")
     for label, records, n, sampled in report_runs:
-        print(f"report writers, {label}: least of {args.report_runs} runs")
-        for name, elapsed in bench_reports(records, n, sampled, args.report_runs):
-            print(f"  {name:21s} {1000 * elapsed:8.2f} ms")
+        elapsed = bench_reports(records, n, sampled)
+        print(f"  {label:25s} {1000 * elapsed:8.2f} ms")
     total = len(symmetric_functions(6))
     print(f"n=6 symmetric, SOP cover search under a {SYMMETRIC_GUARD_S:g}s guard")
     searches = [("pure", lambda i, g: _kernels_py.min_sop_counts(6, i, g))]

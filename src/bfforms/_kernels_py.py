@@ -35,11 +35,11 @@ with rows still uncovered runs the cover search, on those primes.
 The exact cover search reduces the prime table to its cyclic core
 (McCluskey, 1956) and searches the core:
 
-- dominated primes (another covers a superset of the rows still uncovered
-  with no more literals) are dropped;
 - essential primes come from two bit planes folded over the prime masks,
-  the rows covered once and the rows covered twice, and are taken;
-- the two steps repeat until neither changes anything;
+  the rows covered once and the rows covered twice;
+- dominated primes (another covers a superset of the rows still uncovered
+  with no more literals) are dropped, and essentials are taken again,
+  until neither step changes anything;
 - branch-and-bound prunes a node whose uncovered rows were already
   reached at no higher cost (a transposition table).
 
@@ -188,54 +188,48 @@ def _cyclic_core(
     """(candidates, uncovered rows, cost taken, positions taken).
 
     ``cand`` holds (rows, cost, position) per prime, positions ascending.
-    Each round restricts the candidates to the uncovered rows, then:
+    Two steps repeat until the candidates stop changing:
 
+    - essentials: a candidate that alone covers some uncovered row is in
+      every cover drawn from the candidates, so it is taken;
     - dominance: a candidate is dropped when another covers a superset of
       its uncovered rows at no higher cost (of two identical ones the
       later goes).  Swapping a dominated prime for its dominator adds no
-      cost, so an optimal cover survives.  An essential candidate is never
-      dropped, since no other covers its sole row;
-    - essentials: a candidate that alone covers some uncovered row is in
-      every cover drawn from the candidates, so it is taken.
+      cost, so an optimal cover survives.
 
-    No prime's rows lie inside another's, so a candidate can be dominated
-    only once restriction has cut rows: a first round that cuts none skips
-    the pass.  Taking essentials leaves every other uncovered row all its
-    candidates, so after a take a round that drops none is the fixed
-    point, as is any round that takes none.  Returned candidates hold only
-    their uncovered rows.
+    Taking essentials leaves the other rows' covering counts unchanged, so
+    only a dominance drop can make new ones; a round without drops is the
+    fixed point.  Returned candidates hold only their uncovered rows.
     """
     cost = 0
     taken = []
     while True:
-        rows = [(r, step, pos) for cov, step, pos in cand if (r := cov & uncov)]
-        if rows != cand:
-            kept = []
-            for c in rows:
-                ci, wi, pi = c
-                for cj, wj, pj in rows:
-                    if ci & cj == ci and wj <= wi and (pj < pi or cj != ci or wj < wi):
-                        break
-                else:
-                    kept.append(c)
-            if taken and len(kept) == len(rows):
-                return rows, uncov, cost, taken
-            cand = kept
         # Rows covered at least once and at least twice, as two bit planes.
         once = twice = 0
         for cov, _, _ in cand:
             twice |= once & cov
             once |= cov
-        sole = once & ~twice
-        if not sole:
+        sole = once & ~twice & uncov
+        if sole:
+            for cov, step, pos in cand:
+                if cov & sole:
+                    cost += step
+                    taken.append(pos)
+                    uncov &= ~cov
+            if not uncov:
+                return [], 0, cost, taken
+        cand = [(rows, step, pos) for cov, step, pos in cand if (rows := cov & uncov)]
+        kept = []
+        for c in cand:
+            ci, wi, pi = c
+            for cj, wj, pj in cand:
+                if ci & cj == ci and wj <= wi and (pj < pi or cj != ci or wj < wi):
+                    break
+            else:
+                kept.append(c)
+        if len(kept) == len(cand):
             return cand, uncov, cost, taken
-        for cov, step, pos in cand:
-            if cov & sole:
-                cost += step
-                taken.append(pos)
-                uncov &= ~cov
-        if not uncov:
-            return [], 0, cost, taken
+        cand = kept
 
 
 def _least_cost_cover(
