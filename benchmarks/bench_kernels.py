@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Benchmark the compiled C sweep kernel against the pure-Python fallback.
 
-Times `analyze_batch` throughput over an exhaustive n=4 slice and seeded
-n=5 and n=6 samples, then prints functions per second and the speedup.
+Times `analyze_batch` throughput over the first `N4_COUNT` n=4 functions
+and seeded samples of `N5_COUNT` n=5 and 512 n=6 functions, then prints
+functions per second and the speedup.
 `analyze_batch` is the path `bfforms sweep` (n <= 4) and `sample` (n <= 5)
 run; no command sends it n=6 batches, so the n=6 figures time the kernel
 API alone.  On the pure backend it finds the primes and essential primes
@@ -32,10 +33,9 @@ pure `min_sop_counts`, the compiled `analyze_batch` of one function), then
 `minimize_sop`, whose cover search is the pure one on either backend.
 Usage:
 
-    python benchmarks/bench_kernels.py [--n4-count 8192] [--n5-count 2048]
+    python benchmarks/bench_kernels.py
 """
 
-import argparse
 import statistics
 import sys
 import tempfile
@@ -58,6 +58,8 @@ try:
 except ImportError:
     BACKENDS = [_kernels_py]
 
+N4_COUNT = 8192
+N5_COUNT = 2048
 SYMMETRIC_GUARD_S = 1.0
 REPORT_RUNS = 20
 
@@ -123,14 +125,9 @@ def bench_reports(records, n, sampled):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n4-count", type=int, default=8192)
-    parser.add_argument("--n5-count", type=int, default=2048)
-    args = parser.parse_args()
-
     workloads = [
-        (4, list(range(args.n4_count))),
-        (5, sample_uniform(5, args.n5_count, seed=1)),
+        (4, list(range(N4_COUNT))),
+        (5, sample_uniform(5, N5_COUNT, seed=1)),
         (6, sample_uniform(6, 512, seed=1)),
     ]
     for n, indices in workloads:

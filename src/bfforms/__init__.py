@@ -21,7 +21,6 @@ from .analysis import (
     SweepStats,
     aggregate,
     analyze_function,
-    analyze_record,
     classify,
     q_aggregate,
     rei,
@@ -42,7 +41,7 @@ from .arith import (
     inverse_arithmetic_transform,
     threshold_verify,
 )
-from .costs import CRITERIA, CostVector, cost_of_arith, cost_of_rm, cost_of_sop
+from .costs import CRITERIA, CostVector, cost_of_sop
 from .errors import GuardTimeoutError, PlaFormatError
 from .pla import PlaDocument, emit_pla, parse_pla, sop_to_pla, truth_tables
 from .reedmuller import (
@@ -58,11 +57,8 @@ from .sop import Cube, SopForm, eval_sop, minimize_sop, prime_implicants
 from .truthtable import (
     Assignment,
     TruthTable,
-    complement,
     enumerate_all,
-    evaluate,
     sample_uniform,
-    tt_from_index,
 )
 
 __all__ = [
@@ -89,23 +85,18 @@ __all__ = [
     "TruthTable",
     "aggregate",
     "analyze_function",
-    "analyze_record",
     "arithmetic_transform",
     "best_arith_polarity",
     "best_polarity",
     "class_power",
     "classify",
-    "complement",
     "complement_image",
-    "cost_of_arith",
-    "cost_of_rm",
     "cost_of_sop",
     "emit_pla",
     "enumerate_all",
     "eval_arith",
     "eval_rm",
     "eval_sop",
-    "evaluate",
     "fprm_count",
     "fprm_transform",
     "graphical_conjunction",
@@ -124,5 +115,4 @@ __all__ = [
     "sweep",
     "threshold_verify",
     "truth_tables",
-    "tt_from_index",
 ]

@@ -189,12 +189,6 @@ class SweepRecords(Sequence):
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
-def analyze_record(tt: TruthTable, guard_s: float | None = None) -> SweepRecord:
-    """Sweep record of a single function (kernel-backed)."""
-    counts = kernels.analyze_counts(tt.n, tt.index, guard_s)
-    return _record_of_row(tt.index, _cost_rows(tt.n, [counts])[0])
-
-
 @dataclass(frozen=True)
 class FunctionAnalysis:
     """One function minimized in all three forms under a chosen criterion.

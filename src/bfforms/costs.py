@@ -52,27 +52,19 @@ def from_counts(n: int, summands: int, conjunctions: int, literals: int,
     )
 
 
-def cost_of_sop(sop, n: int | None = None) -> CostVector:
+def cost_of_sop(sop) -> CostVector:
     """Criteria for a SOP cover (dual-rail AND plane)."""
-    if n is None:
-        n = sop.n
-    elif n != sop.n:
-        raise ValueError(f"cover has n={sop.n}, got n={n}")
     summands = len(sop.terms)
     conjunctions = sum(1 for c in sop.terms if c.literal_count > 0)
     literals = sum(c.literal_count for c in sop.terms)
-    return from_counts(n, summands, conjunctions, literals, dual_rail=True)
+    return from_counts(sop.n, summands, conjunctions, literals, dual_rail=True)
 
 
-def cost_of_polynomial(poly, n: int | None = None) -> CostVector:
+def cost_of_polynomial(poly) -> CostVector:
     """Criteria for a Reed-Muller or arithmetic polynomial (single-rail AND plane).
 
     Every nonzero coefficient is a summand, so both forms count alike.
     """
-    if n is None:
-        n = poly.n
-    elif n != poly.n:
-        raise ValueError(f"polynomial has n={poly.n}, got n={n}")
     summands = conjunctions = literals = 0
     for j, c in enumerate(poly.coeffs):
         if c == 0:
@@ -81,7 +73,4 @@ def cost_of_polynomial(poly, n: int | None = None) -> CostVector:
         if j:
             conjunctions += 1
             literals += bin(j).count("1")
-    return from_counts(n, summands, conjunctions, literals, dual_rail=False)
-
-
-cost_of_rm = cost_of_arith = cost_of_polynomial
+    return from_counts(poly.n, summands, conjunctions, literals, dual_rail=False)

@@ -31,7 +31,6 @@ class PlaDocument:
     num_inputs: int
     num_outputs: int
     rows: tuple[tuple[str, str], ...]
-    declared_products: int | None = field(default=None, compare=False)
     warnings: tuple[str, ...] = field(default=(), compare=False)
 
 
@@ -100,7 +99,6 @@ def parse_pla(text: str) -> PlaDocument:
         num_inputs=ints[".i"],
         num_outputs=ints[".o"],
         rows=tuple(rows),
-        declared_products=declared,
         warnings=tuple(warnings),
     )
 

@@ -40,8 +40,8 @@ class PolarityVector:
     @classmethod
     def from_int(cls, n: int, k: int) -> PolarityVector:
         _validate_n(n)
-        if not 0 <= k < (1 << n):
-            raise ValueError(f"polarity integer {k} out of range for n={n}")
+        if not _is_int(k) or not 0 <= k < (1 << n):
+            raise ValueError(f"polarity integer {k!r} out of range for n={n}")
         return cls(n, tuple((k >> (n - 1 - i)) & 1 for i in range(n)))
 
     @property
@@ -167,8 +167,8 @@ def class_power(n: int, k: int) -> int:
     """
     if not _is_int(n) or n < 1:
         raise ValueError(f"variable count must be a positive int, got {n!r}")
-    if not 0 <= k <= n:
-        raise ValueError(f"class degree {k} out of range for n={n}")
+    if not _is_int(k) or not 0 <= k <= n:
+        raise ValueError(f"class degree {k!r} out of range for n={n}")
     row = [1]
     for _ in range(n):
         row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]

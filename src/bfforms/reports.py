@@ -42,15 +42,12 @@ REI_VARIANTS = ("literal", "normalized")
 BLOCK_LINES = 4096  # CSV lines rendered and written per file write
 
 
-def format_rational(value: int | Fraction, places: int = 3) -> str:
-    """Decimal rendering with round-half-even at ``places`` digits."""
+def format_rational(value: int | Fraction) -> str:
+    """Decimal rendering with round-half-even at three digits."""
     f = Fraction(value)
     sign = "-" if f < 0 else ""
-    scale = 10**places
-    whole, frac = divmod(round(abs(f) * scale), scale)
-    if places == 0:
-        return f"{sign}{whole}"
-    return f"{sign}{whole}.{frac:0{places}d}"
+    whole, frac = divmod(round(abs(f) * 1000), 1000)
+    return f"{sign}{whole}.{frac:03d}"
 
 
 def _cell(value) -> str:

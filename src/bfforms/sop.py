@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from ._kernels_py import _guarded_primes, _lattice, _least_cost_cover, _prime_ids
 from .guard import resolve_guard
-from .truthtable import Assignment, TruthTable, product_string
+from .truthtable import Assignment, TruthTable, _is_int, product_string
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,8 @@ class Cube:
 
     def __post_init__(self) -> None:
         full = (1 << self.n) - 1
+        if not (_is_int(self.care) and _is_int(self.value)):
+            raise ValueError(f"cube masks must be ints, got {self.care!r}, {self.value!r}")
         if not 0 <= self.care <= full:
             raise ValueError(f"care mask {self.care:#x} out of range for n={self.n}")
         if self.value & ~self.care:
@@ -84,11 +86,6 @@ class Cube:
 
     def covers_row(self, row: int) -> bool:
         return (row & self.care) == self.value
-
-    def covers(self, a: Assignment) -> bool:
-        if a.n != self.n:
-            raise ValueError(f"assignment has n={a.n}, cube has n={self.n}")
-        return self.covers_row(a.row_index)
 
     def cover_mask(self) -> int:
         """Bitmask over row indices covered by this cube."""

@@ -51,8 +51,8 @@ class Assignment:
     @classmethod
     def from_row_index(cls, n: int, row: int) -> Assignment:
         _validate_n(n)
-        if not 0 <= row < (1 << n):
-            raise ValueError(f"row index {row} out of range for n={n}")
+        if not _is_int(row) or not 0 <= row < (1 << n):
+            raise ValueError(f"row index {row!r} out of range for n={n}")
         return cls(n, tuple((row >> (n - 1 - i)) & 1 for i in range(n)))
 
 
@@ -76,8 +76,8 @@ class TruthTable:
     def from_index(cls, n: int, index: int) -> TruthTable:
         _validate_n(n)
         rows = 1 << n
-        if not 0 <= index < (1 << rows):
-            raise ValueError(f"function index {index} out of range for n={n}")
+        if not _is_int(index) or not 0 <= index < (1 << rows):
+            raise ValueError(f"function index {index!r} out of range for n={n}")
         return cls(n, tuple((index >> j) & 1 for j in range(rows)))
 
     @property
@@ -115,18 +115,6 @@ def product_string(n: int, care: int, value: int) -> str:
         if (care >> p) & 1:
             parts.append(("" if (value >> p) & 1 else "~") + f"x{i + 1}")
     return "*".join(parts)
-
-
-def tt_from_index(n: int, index: int) -> TruthTable:
-    return TruthTable.from_index(n, index)
-
-
-def evaluate(tt: TruthTable, a: Assignment) -> int:
-    return tt.evaluate(a)
-
-
-def complement(tt: TruthTable) -> TruthTable:
-    return tt.complement()
 
 
 def enumerate_all(n: int) -> Iterator[TruthTable]:

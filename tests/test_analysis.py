@@ -16,7 +16,6 @@ from bfforms.analysis import (
     SweepRecord,
     aggregate,
     analyze_function,
-    analyze_record,
     classify,
     q_aggregate,
     rei,
@@ -24,7 +23,7 @@ from bfforms.analysis import (
     specific_weights,
     sweep,
 )
-from bfforms.costs import CRITERIA, cost_of_arith, cost_of_rm
+from bfforms.costs import CRITERIA, cost_of_polynomial
 from bfforms.reports import weight_stderr
 from bfforms.truthtable import TruthTable, sample_uniform
 
@@ -61,32 +60,34 @@ AGREEMENT_CASES = [(n, i) for n in (1, 2, 3) for i in range(1 << (1 << n))] + [
 
 @pytest.mark.parametrize("impl", kernel_backends(), ids=lambda m: m.BACKEND)
 def test_analyze_function_agrees_with_the_kernel(impl, monkeypatch):
-    # The record is the kernel's, and each polynomial witness attains the
-    # kernel's minimum under the criterion it was chosen for.
+    # The record holds the kernel's nine counts, and each polynomial witness
+    # attains the kernel's minimum under the criterion it was chosen for.
     monkeypatch.setattr(kernels, "_impl", impl)
     for n, index in AGREEMENT_CASES:
         tt = TruthTable.from_index(n, index)
-        record = analyze_record(tt)
+        counts = kernels.analyze_counts(n, index)
         for c in CRITERIA:
             fa = analyze_function(tt, c)
-            assert fa.record == record, (n, hex(index), c)
-            assert cost_of_rm(fa.rm).get(c) == record.cost_rm.get(c), (n, hex(index), c)
-            assert cost_of_arith(fa.afr).get(c) == record.cost_afr.get(c), (n, hex(index), c)
+            rec, where = fa.record, (n, hex(index), c)
+            forms = (rec.cost_cfr, rec.cost_rm, rec.cost_afr)
+            assert tuple(v for cv in forms for v in astuple(cv)[:3]) == counts, where
+            assert cost_of_polynomial(fa.rm).get(c) == rec.cost_rm.get(c), where
+            assert cost_of_polynomial(fa.afr).get(c) == rec.cost_afr.get(c), where
 
 
 def test_analyze_function_xor3(xor3):
-    record = analyze_record(xor3)
+    record = analyze_function(xor3).record
     assert record.cost_rm.s_ad == 3  # {x1, x2, x3} at positive polarity
     assert record.cost_cfr.s_ad == 4  # the four odd minterms stay apart
 
 
 def test_classify_all_equal_is_car():
-    record = analyze_record(TruthTable(1, (0, 1)))  # f = x1
+    record = analyze_function(TruthTable(1, (0, 1))).record  # f = x1
     assert classify(record, "s_ad") == "CAR"
 
 
 def test_classify_maj3_under_area_excludes_sop(maj3):
-    record = analyze_record(maj3)
+    record = analyze_function(maj3).record
     # 2n*3 = 18 against n*3 = 9 (RM) and n*4 = 12 (AFR).
     assert classify(record, "s_s") == "RM"
     assert classify(record, "s_ad") in ("CR", "CAR", "C", "RM")
@@ -119,7 +120,7 @@ def classify_scaled(rec, criterion, factor):
 
 
 def test_rei_two_constant_one_records():
-    rec = analyze_record(TruthTable(2, (1, 1, 1, 1)))
+    rec = analyze_function(TruthTable(2, (1, 1, 1, 1))).record
     records = [rec, rec]
     for form in ("cfr", "afr", "rm", "ofr"):
         result = rei(records, form, "s_ad", "literal")
@@ -129,7 +130,7 @@ def test_rei_two_constant_one_records():
 
 
 def test_rei_degenerate_s_mm():
-    records = [analyze_record(TruthTable(2, (0, 0, 0, 0)))]
+    records = [analyze_function(TruthTable(2, (0, 0, 0, 0))).record]
     with pytest.raises(ValueError, match="degenerate"):
         rei(records, "cfr", "s_ad", "literal")
     assert rei(records, "cfr", "s_ad", "normalized").eta == 1
@@ -174,7 +175,7 @@ def test_specific_weights_sum_to_one_exactly(sweep3):
 
 
 def test_specific_weights_identical_records(maj3):
-    rec = analyze_record(maj3)
+    rec = analyze_function(maj3).record
     weights = specific_weights([rec, rec, rec], "s_s")
     assert weights["RM"] == 1
 
@@ -246,7 +247,7 @@ def test_sampled_sweep_parallel_determinism():
 def test_sampled_sweep_equals_per_function_records():
     records = sampled_sweep(5, 200, seed=21)
     expected = [
-        analyze_record(TruthTable.from_index(5, index))
+        analyze_function(TruthTable.from_index(5, index)).record
         for index in sample_uniform(5, 200, 21)
     ]
     assert records == expected

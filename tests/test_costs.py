@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bfforms.arith import arithmetic_transform, best_arith_polarity
-from bfforms.costs import CRITERIA, CostVector, cost_of_arith, cost_of_rm, cost_of_sop
+from bfforms.costs import CRITERIA, CostVector, cost_of_polynomial, cost_of_sop
 from bfforms.reedmuller import (
     PolarityVector,
     RmPolynomial,
@@ -23,37 +23,30 @@ def as_tuple(cv: CostVector):
 
 
 def test_cost_of_sop_maj3(maj3):
-    assert as_tuple(cost_of_sop(minimize_sop(maj3), 3)) == (3, 3, 6, 18, 18)
+    assert as_tuple(cost_of_sop(minimize_sop(maj3))) == (3, 3, 6, 18, 18)
 
 
 def test_cost_of_sop_constants():
-    assert as_tuple(cost_of_sop(SopForm(3, ()), 3)) == (0, 0, 0, 0, 0)
+    assert as_tuple(cost_of_sop(SopForm(3, ()))) == (0, 0, 0, 0, 0)
     tautology = SopForm(3, (Cube(3, 0, 0),))
-    assert as_tuple(cost_of_sop(tautology, 3)) == (1, 0, 0, 6, 0)
+    assert as_tuple(cost_of_sop(tautology)) == (1, 0, 0, 6, 0)
 
 
 def test_cost_of_rm_or2(or2):
     negative = fprm_transform(or2, P(2, 3))
-    assert as_tuple(cost_of_rm(negative, 2)) == (2, 1, 2, 4, 2)
+    assert as_tuple(cost_of_polynomial(negative)) == (2, 1, 2, 4, 2)
     positive = fprm_transform(or2, P(2, 0))
-    assert as_tuple(cost_of_rm(positive, 2)) == (3, 3, 4, 6, 6)
+    assert as_tuple(cost_of_polynomial(positive)) == (3, 3, 4, 6, 6)
     zero = RmPolynomial(P(2, 0), (0, 0, 0, 0))
-    assert as_tuple(cost_of_rm(zero, 2)) == (0, 0, 0, 0, 0)
+    assert as_tuple(cost_of_polynomial(zero)) == (0, 0, 0, 0, 0)
 
 
 def test_cost_of_arith_examples(or2, xor2):
-    assert as_tuple(cost_of_arith(arithmetic_transform(or2, P(2, 0)))) == (3, 3, 4, 6, 6)
+    assert as_tuple(cost_of_polynomial(arithmetic_transform(or2, P(2, 0)))) == (3, 3, 4, 6, 6)
     # The -2 coefficient counts as one summand.
-    assert as_tuple(cost_of_arith(arithmetic_transform(xor2, P(2, 0)))) == (3, 3, 4, 6, 6)
+    assert as_tuple(cost_of_polynomial(arithmetic_transform(xor2, P(2, 0)))) == (3, 3, 4, 6, 6)
     one = arithmetic_transform(TruthTable(3, (1,) * 8), P(3, 0))
-    assert as_tuple(cost_of_arith(one, 3)) == (1, 0, 0, 3, 0)
-
-
-def test_n_mismatch_rejected(or2):
-    with pytest.raises(ValueError):
-        cost_of_sop(minimize_sop(or2), 3)
-    with pytest.raises(ValueError):
-        cost_of_rm(fprm_transform(or2, P(2, 0)), 3)
+    assert as_tuple(cost_of_polynomial(one)) == (1, 0, 0, 3, 0)
 
 
 def test_unknown_criterion():
@@ -66,7 +59,7 @@ def test_unknown_criterion():
 def test_dual_rail_ratio(or2):
     # Same summand count costs exactly twice the plane area in SOP form.
     sop_cost = cost_of_sop(minimize_sop(or2))  # 2 summands
-    rm_cost = cost_of_rm(fprm_transform(or2, P(2, 3)))  # 2 summands
+    rm_cost = cost_of_polynomial(fprm_transform(or2, P(2, 3)))  # 2 summands
     assert sop_cost.s_ad == rm_cost.s_ad == 2
     assert sop_cost.s_s == 2 * rm_cost.s_s
 
@@ -79,8 +72,8 @@ def test_invariants_exhaustive(n, l2_tables, l3_tables):
         dual = [cost_of_sop(minimize_sop(tt))]
         single = []
         for k in range(1 << n):
-            single.append(cost_of_rm(fprm_transform(tt, P(n, k))))
-            single.append(cost_of_arith(arithmetic_transform(tt, P(n, k))))
+            single.append(cost_of_polynomial(fprm_transform(tt, P(n, k))))
+            single.append(cost_of_polynomial(arithmetic_transform(tt, P(n, k))))
         for cv, factor in [(v, 2 * n) for v in dual] + [(v, n) for v in single]:
             assert cv.s_sh <= cv.s_ad <= cv.s_sh + 1
             assert cv.s_l <= n * cv.s_sh
@@ -105,8 +98,8 @@ def test_monotonicity_activating_a_coefficient(index, k, j):
     if poly.coeffs[j]:
         return
     grown = RmPolynomial(poly.polarity, poly.coeffs[:j] + (1,) + poly.coeffs[j + 1 :])
-    before = cost_of_rm(poly)
-    after = cost_of_rm(grown)
+    before = cost_of_polynomial(poly)
+    after = cost_of_polynomial(grown)
     for criterion in CRITERIA:
         assert after.get(criterion) >= before.get(criterion)
 
@@ -116,10 +109,10 @@ def test_best_polarity_costs_agree_with_vectors(or2):
     # matches the criterion they optimized.
     for criterion in CRITERIA:
         _, rm_poly = best_polarity(or2, criterion)
-        assert cost_of_rm(rm_poly).get(criterion) <= cost_of_rm(
+        assert cost_of_polynomial(rm_poly).get(criterion) <= cost_of_polynomial(
             fprm_transform(or2, P(2, 0))
         ).get(criterion)
         _, af_poly = best_arith_polarity(or2, criterion)
-        assert cost_of_arith(af_poly).get(criterion) <= cost_of_arith(
+        assert cost_of_polynomial(af_poly).get(criterion) <= cost_of_polynomial(
             arithmetic_transform(or2, P(2, 0))
         ).get(criterion)

@@ -31,7 +31,7 @@ from conftest import cube_mask, kernel_backends, oracle_primes, plain_min_cover
 from bfforms import _kernels_py as pure
 from bfforms import _sop_planes
 from bfforms.arith import arithmetic_transform
-from bfforms.costs import cost_of_arith, cost_of_rm, cost_of_sop
+from bfforms.costs import cost_of_polynomial, cost_of_sop
 from bfforms.errors import GuardTimeoutError
 from bfforms.guard import DEFAULT_GUARD_SECS
 from bfforms.reedmuller import PolarityVector, fprm_transform
@@ -80,11 +80,11 @@ def library_polarity_minima(tt: TruthTable) -> tuple[int, ...]:
     """The six RM and arithmetic minima from per-polarity library transforms."""
     n = tt.n
     rm_costs = [
-        cost_of_rm(fprm_transform(tt, PolarityVector.from_int(n, k)))
+        cost_of_polynomial(fprm_transform(tt, PolarityVector.from_int(n, k)))
         for k in range(1 << n)
     ]
     af_costs = [
-        cost_of_arith(arithmetic_transform(tt, PolarityVector.from_int(n, k)))
+        cost_of_polynomial(arithmetic_transform(tt, PolarityVector.from_int(n, k)))
         for k in range(1 << n)
     ]
     return (

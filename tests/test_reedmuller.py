@@ -141,10 +141,16 @@ def test_class_power_matches_binomial():
 
 
 def test_class_power_out_of_range():
-    with pytest.raises(ValueError):
-        class_power(3, 4)
-    with pytest.raises(ValueError):
-        class_power(3, -1)
+    # A bool or a float is no degree, though True == 1 and 2.0 == 2.
+    for k in (4, -1, True, 2.0, 1.5):
+        with pytest.raises(ValueError):
+            class_power(3, k)
+
+
+def test_polarity_integer_out_of_range():
+    for k in (4, -1, True, 2.0, 1.5):
+        with pytest.raises(ValueError):
+            P(2, k)
 
 
 def test_disjunction_identity_through_anf(l2_tables):

@@ -49,7 +49,6 @@ def test_format_rational_round_half_even():
     assert format_rational(Fraction(2, 3)) == "0.667"
     assert format_rational(Fraction(-1, 8)) == "-0.125"
     assert format_rational(7) == "7.000"
-    assert format_rational(Fraction(5, 4), places=0) == "1"
 
 
 def test_rendered_csv_round_trips_at_precision(stats3):

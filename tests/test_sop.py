@@ -34,6 +34,10 @@ def test_cube_string_round_trip():
 def test_cube_rejects_bad_masks():
     with pytest.raises(ValueError):
         Cube(2, care=0b01, value=0b10)
+    # A bool or a float is no mask, though True == 1 and 2.0 == 2.
+    for care, value in ((True, 0), (1, True), (2.0, 0), (1.5, 0), (3, 1.0)):
+        with pytest.raises(ValueError):
+            Cube(2, care, value)
     with pytest.raises(ValueError):
         Cube.from_string(2, "1x")
     with pytest.raises(ValueError):

@@ -8,14 +8,13 @@ from bfforms.truthtable import (
     enumerate_all,
     sample_uniform,
     splitmix64,
-    tt_from_index,
 )
 
 
 def test_from_index_examples():
-    assert tt_from_index(1, 0).bits == (0, 0)
-    assert tt_from_index(2, 6).bits == (0, 1, 1, 0)  # XOR2
-    assert tt_from_index(3, 255).bits == (1,) * 8
+    assert TruthTable.from_index(1, 0).bits == (0, 0)
+    assert TruthTable.from_index(2, 6).bits == (0, 1, 1, 0)  # XOR2
+    assert TruthTable.from_index(3, 255).bits == (1,) * 8
 
 
 def test_index_round_trip_exhaustive_small_n():
@@ -25,14 +24,17 @@ def test_index_round_trip_exhaustive_small_n():
 
 
 def test_index_out_of_range():
+    # A bool or a float is no index, though True == 1 and 2.0 == 2.
+    for index in (16, -1, True, 2.0, 1.5):
+        with pytest.raises(ValueError):
+            TruthTable.from_index(2, index)
+    for row in (4, -1, True, 2.0, 1.5):
+        with pytest.raises(ValueError):
+            Assignment.from_row_index(2, row)
     with pytest.raises(ValueError):
-        tt_from_index(2, 16)
+        TruthTable.from_index(0, 0)
     with pytest.raises(ValueError):
-        tt_from_index(2, -1)
-    with pytest.raises(ValueError):
-        tt_from_index(0, 0)
-    with pytest.raises(ValueError):
-        tt_from_index(7, 0)
+        TruthTable.from_index(7, 0)
 
 
 def test_assignment_row_index_ordering():
