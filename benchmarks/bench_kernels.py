@@ -8,7 +8,8 @@ functions per second and the speedup.
 run; no command sends it n=6 batches, so the n=6 figures time the kernel
 API alone.  On the pure backend it finds the primes and essential primes
 of the whole batch in bit planes, completes in the planes every cover that
-one more prime completes (`_sop_planes.partial_covers`), and runs a cover
+one more prime completes, drops the dominated primes and takes the
+essentials this uncovers (`_sop_planes.partial_covers`), and runs a cover
 search only for the functions still left with rows uncovered; it prints
 how many of the batch those are.  For the pure backend it also times its
 layers on the same indices: the one-function SOP path (`min_sop_counts`,

@@ -27,10 +27,15 @@ AND of the two sides each time an absent digit is pushed down onto its
 x_p = 0 and x_p = 1 halves.  A prime that holds a row covered once is
 essential.  A function whose essentials leave rows uncovered, all of them
 in one more prime, takes the cheapest such prime: one term beats any
-completion of two.  The cost of the primes taken is summed in the planes
-too.  One transpose back then gives each function that cost, its
-uncovered rows and the other primes that meet them, and only a function
-with rows still uncovered runs the cover search, on those primes.
+completion of two.  In a batch of 512 functions or more, one round of the
+cyclic core's reductions below then runs in the planes for the whole
+batch (a narrower one would spend more on it than it saves): the
+dominated residual primes are dropped, from a per-n table of the cube
+pairs that can dominate, and a prime left alone on an uncovered row is
+taken.  The cost of the primes taken is summed in the planes too.  One transpose back then gives each
+function that cost, its uncovered rows and the other primes that meet
+them, and only a function with rows still uncovered runs the cover
+search, on those primes: about three draws in ten at n=5.
 
 The exact cover search reduces the prime table to its cyclic core
 (McCluskey, 1956) and searches the core:
@@ -420,10 +425,10 @@ def analyze_batch(
              af_min_ad, af_min_sh, af_min_l).
 
     Both sides run on the whole sequence at once: the polarity minima in
-    lane-parallel passes, and the SOP essentials and one-term completions
-    in bit planes (:func:`_sop_planes.partial_covers`).  Only a function
-    with rows still uncovered gets a cover search of its own, under its
-    own ``guard_s`` deadline.
+    lane-parallel passes, and the SOP essentials, one-term completions and
+    dominance pass in bit planes (:func:`_sop_planes.partial_covers`).
+    Only a function with rows still uncovered gets a cover search of its
+    own, under its own ``guard_s`` deadline.
     """
     lat = _lattice(n)
     if guard_s <= 0 and any(0 < index < lat.full for index in indices):

@@ -12,16 +12,41 @@ single residual prime completes.  A residual prime holds every uncovered
 row of its function when no uncovered row lies outside it, and the rows
 outside a cube are those outside one of its literals: each cube's plane
 of "an uncovered row outside" is an OR over its literals of the
-opposite half-cube's rows, built by tripling like the lattice.  The
-taken cubes' costs are then summed in bit-sliced planes, so only that
-sum, not the cubes, goes back to each function.
+opposite half-cube's rows, built by tripling like the lattice.
+
+Then, in a batch wide enough to pay for it (``_PASS_WIDTH``), a dominance
+pass runs one round of the cyclic core's reductions
+(``_kernels_py._cyclic_core``) on every function at once.  Residual cube
+c2 dominates c1 where c1 has no uncovered row outside c2 and c2 costs no
+more (at equal cost, with the lower id or an uncovered row outside c1).
+Two such cubes meet in a subcube m, and c1's rows outside c2 are those of
+its escapes, c1 with the opposite of one literal that m adds: so the test
+is an OR of the escapes' "meets an uncovered row" planes.  The pairs that
+can dominate come from a table built once per n (:func:`_dominance`).
+After the drops, a residual cube alone on an uncovered row is taken, as
+an essential is.  The taken cubes' costs are then summed in bit-sliced
+planes, so only that sum, not the cubes, goes back to each function.
 """
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import and_, or_
-from typing import Iterator, Sequence
+from array import array
+from functools import cache, reduce
+from itertools import combinations, product, repeat
+from operator import and_, or_, xor
+from typing import Iterable, Iterator, NamedTuple, Sequence
+
+# Dominance passes per batch, and the fewest functions a batch needs to
+# run them.  A pass costs the same at any width, one step per cube pair
+# (7,200 at n=5), and saves a cover search per function it completes.  On
+# 3 x 4,096 n=5 draws one pass left 1,224, 1,202 and 1,235 functions for a
+# cover search and two passes 538, 539 and 567, but the kernel took as
+# long either way (51-55 ms a sample): a second pass pays for every pair
+# again to finish a few functions.  Per function, one pass cost more than
+# it saved in batches of 256 at n=4, 5 and 6, broke even near 384 and
+# saved at every n from 512 on.
+_PASSES = 1
+_PASS_WIDTH = 512
 
 
 def _repeat(pattern: int, period: int, width: int) -> int:
@@ -189,6 +214,124 @@ def _one_term(
         resid[:] = [c & ~done for c in resid]
 
 
+class _Pairs(NamedTuple):
+    """The dominance groups whose c1 has k literals and whose m has j more.
+
+    Every group of one class has the same number of escapes, plain pairs
+    and ties, and every c1 the same number of groups, so each array holds
+    runs of one length and each step maps over whole arrays.
+    """
+
+    groups: int
+    c1: array  # the cubes of k literals, ascending; each has a run of groups
+    esc: array  # per group, its j escapes
+    plain: array  # per group, the c2 that drop more than j of c1's literals
+    tie: array  # per group, the c2 that drop exactly j
+    need: array  # per tie, the group of (c2, m), or ``groups`` if c2 < c1
+
+
+@cache
+def _dominance(n: int) -> tuple[_Pairs, ...]:
+    """The dominance groups of n variables, built once per n.
+
+    A group is a cube c1 and a subcube m: c1 and literals L on j of c1's
+    absent variables.  Its escapes, c1 and the opposite of one literal of
+    L each, hold c1's rows outside m.  Its pairs are the cubes c2 with
+    c1 & c2 = m and no more literals than c1: c2 has the literals L and
+    all but at least j of c1's.  No other pair can dominate: a cube that
+    contains another is never a prime beside it, and one that misses it
+    holds none of its rows.  A tie, where c2 drops exactly j and so has
+    c1's cost, dominates from a lower id as it is.  From a higher id it
+    needs an uncovered row of c2 outside m, which the group (c2, m) of
+    the same class tells.
+    """
+    weight = [3**p for p in range(n)]
+    classes = []
+    for k in range(1, n):
+        c1s = [c for c in range(3**n) if sum(c // w % 3 > 0 for w in weight) == k]
+        # drops[c1][d]: per set of d of c1's literals, the sum of their id
+        # terms; c2 = m less one such sum drops those literals.
+        drops = {}
+        for c1 in c1s:
+            lits = [c1 // w % 3 * w for w in weight if c1 // w % 3]
+            drops[c1] = [list(map(sum, combinations(lits, d))) for d in range(k + 1)]
+        for j in range(1, min(k, n - k) + 1):
+            escapes = {}
+            for c1 in c1s:
+                free = [w for w in weight if not c1 // w % 3]
+                for ws in combinations(free, j):
+                    for ds in product((1, 2), repeat=j):
+                        m = c1 + sum(d * w for d, w in zip(ds, ws))
+                        escapes[c1, m] = [c1 + (3 - d) * w for d, w in zip(ds, ws)]
+            where = {group: g for g, group in enumerate(escapes)}
+            pairs = _Pairs(len(where), array("H", c1s), *(array("H") for _ in range(4)))
+            for (c1, m), esc in escapes.items():
+                pairs.esc.extend(esc)
+                pairs.plain.extend([m - s for sums in drops[c1][j + 1 :] for s in sums])
+                ties = [m - s for s in drops[c1][j]]
+                pairs.tie.extend(ties)
+                pairs.need.extend([where[c2, m] if c2 > c1 else len(where) for c2 in ties])
+            classes.append(pairs)
+    return tuple(classes)
+
+
+def _runs(planes: Iterable[int], size: int) -> Iterator[int]:
+    """The OR of each run of ``size`` consecutive planes."""
+    planes = iter(planes)
+    runs = planes
+    for _ in range(size - 1):
+        runs = map(or_, runs, planes)
+    return runs
+
+
+def _drop_dominated(n: int, resid: list[int], uncov: list[int], full: int) -> None:
+    """Drop, in place, the residual cubes that another residual cube
+    dominates; ``full`` has a bit for every function.
+
+    c2 dominates c1 in a function where both are residual, c1 has no
+    uncovered row outside c2, c2 costs no more and, at equal cost, has
+    the lower id or an uncovered row outside c1: the rule of
+    ``_kernels_py._cyclic_core``, applied to all pairs at once.
+    """
+    meet = _up(uncov, n, or_)
+    get_meet = meet.__getitem__
+    get_resid = resid.__getitem__
+    drop = [0] * len(resid)
+    for pairs in _dominance(n):
+        count = pairs.groups
+        # outside[g]: the functions where c1 has an uncovered row outside m.
+        outside = list(_runs(map(get_meet, pairs.esc), len(pairs.esc) // count))
+        outside.append(full)
+        need = map(outside.__getitem__, pairs.need)
+        hit = _runs(map(and_, map(get_resid, pairs.tie), need), len(pairs.tie) // count)
+        if pairs.plain:
+            plain = _runs(map(get_resid, pairs.plain), len(pairs.plain) // count)
+            hit = map(or_, hit, plain)
+        hit = map(and_, hit, map(xor, repeat(full), outside))
+        for c1, h in zip(pairs.c1, _runs(hit, count // len(pairs.c1))):
+            drop[c1] |= h
+    resid[:] = [r ^ r & d for r, d in zip(resid, drop)]
+
+
+def _dominance_pass(
+    n: int, ess: list[int], resid: list[int], uncov: list[int], full: int
+) -> None:
+    """One round of the cyclic core's reductions, in place, for all
+    functions at once.
+
+    The dominated residual cubes go; a residual cube left alone on an
+    uncovered row joins the essential plane, and the rows it holds are
+    covered; the residual planes keep only the cubes that still meet an
+    uncovered row.
+    """
+    _drop_dominated(n, resid, uncov, full)
+    sole = _up(list(map(and_, _sole(resid, n), uncov)), n, or_)
+    taken = list(map(and_, resid, sole))
+    ess[:] = map(or_, ess, taken)
+    uncov[:] = [u ^ u & c for u, c in zip(uncov, _down(taken, n))]
+    resid[:] = map(and_, resid, _up(uncov, n, or_))
+
+
 def _weighted_sum(planes: list[int], weights: Sequence[int]) -> list[int]:
     """Bit-sliced sum of ``weights[c]`` over the set bits of ``planes[c]``.
 
@@ -215,14 +358,21 @@ def partial_covers(
 ) -> Iterator[tuple[int, int, int]]:
     """Per mask: (cost taken, residual cubes, uncovered rows).
 
-    ``costs`` gives each cube's cost, any one cube costing less than any two.
-    The cubes taken are the essential primes, and one more residual prime
-    where it covers every uncovered row (:func:`_one_term`): one term then
-    beats any completion of two.  Such a function has no residual cubes or
-    uncovered rows left, so only the others need a cover search.
+    ``costs`` gives each cube's cost, rising with its literal count, any
+    one cube costing less than any two.  The cubes taken are the essential
+    primes, and one more residual prime where it covers every uncovered
+    row (:func:`_one_term`): one term then beats any completion of two.
+    In a batch of ``_PASS_WIDTH`` masks or more, ``_PASSES`` rounds of
+    :func:`_dominance_pass` then drop dominated residual primes and take
+    the essentials that this uncovers.  A function with no uncovered rows
+    left has no residual cubes either, so only the others need a cover
+    search.
     """
     ess, resid, uncov = _planes(n, masks)
     _one_term(n, ess, resid, uncov, costs)
+    if len(masks) >= _PASS_WIDTH:
+        for _ in range(_PASSES):
+            _dominance_pass(n, ess, resid, uncov, (1 << len(masks)) - 1)
     total = _weighted_sum(ess, costs)
     width = len(total)
     low = (1 << width) - 1

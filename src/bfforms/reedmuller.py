@@ -22,7 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import costs
-from .truthtable import Assignment, TruthTable, _is_int, _validate_n, product_string
+from .truthtable import (
+    Assignment,
+    TruthTable,
+    _bits,
+    _is_int,
+    _validate_n,
+    product_string,
+)
 
 
 @dataclass(frozen=True)
@@ -34,8 +41,8 @@ class PolarityVector:
 
     def __post_init__(self) -> None:
         _validate_n(self.n)
-        if len(self.bits) != self.n or any(b not in (0, 1) for b in self.bits):
-            raise ValueError("polarity vector needs exactly n binary entries")
+        if len(self.bits) != self.n or not _bits(self.bits):
+            raise ValueError("polarity vector needs n entries, each the int 0 or 1")
 
     @classmethod
     def from_int(cls, n: int, k: int) -> PolarityVector:

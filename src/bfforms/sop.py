@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from ._kernels_py import _guarded_primes, _lattice, _least_cost_cover, _prime_ids
 from .guard import resolve_guard
-from .truthtable import Assignment, TruthTable, _is_int, product_string
+from .truthtable import Assignment, TruthTable, _is_int, _validate_n, product_string
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,7 @@ class Cube:
     value: int
 
     def __post_init__(self) -> None:
+        _validate_n(self.n)
         full = (1 << self.n) - 1
         if not (_is_int(self.care) and _is_int(self.value)):
             raise ValueError(f"cube masks must be ints, got {self.care!r}, {self.value!r}")

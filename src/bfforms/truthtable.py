@@ -22,6 +22,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _bits(values: tuple) -> bool:
+    """Whether every value is 0 or 1 and of type int: no bool or float."""
+    return not any(type(v) is not int or v not in (0, 1) for v in values)
+
+
 def _validate_n(n: int, limit: int = MAX_N) -> None:
     if not _is_int(n) or not 1 <= n <= limit:
         raise ValueError(f"variable count must be an int in [1, {limit}], got {n!r}")
@@ -38,8 +43,8 @@ class Assignment:
         _validate_n(self.n)
         if len(self.values) != self.n:
             raise ValueError(f"expected {self.n} values, got {len(self.values)}")
-        if any(v not in (0, 1) for v in self.values):
-            raise ValueError("assignment values must be 0 or 1")
+        if not _bits(self.values):
+            raise ValueError("assignment values must be the ints 0 or 1")
 
     @property
     def row_index(self) -> int:
@@ -69,8 +74,8 @@ class TruthTable:
             raise ValueError(
                 f"need {1 << self.n} bits for n={self.n}, got {len(self.bits)}"
             )
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("truth-table entries must be 0 or 1")
+        if not _bits(self.bits):
+            raise ValueError("truth-table entries must be the ints 0 or 1")
 
     @classmethod
     def from_index(cls, n: int, index: int) -> TruthTable:

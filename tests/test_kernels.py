@@ -294,7 +294,7 @@ def test_front_end_matches_brute_force(n):
     assert plane_front_end(n, masks) == [brute_front_end(n, on) for on in masks]
 
 
-def brute_partial_cover(n: int, on: int) -> tuple[int, int, int]:
+def brute_one_term(n: int, on: int) -> tuple[int, int, int]:
     """(cost taken, residual, uncovered) after the one-term stage.
 
     From :func:`brute_front_end`: when some residual prime holds every
@@ -314,20 +314,66 @@ def brute_partial_cover(n: int, on: int) -> tuple[int, int, int]:
     return taken, residual, uncovered
 
 
+def brute_dominance_passes(
+    n: int, partial: tuple[int, int, int]
+) -> tuple[int, int, int]:
+    """(cost taken, residual, uncovered) after the dominance passes.
+
+    From the one-term stage's ``partial``, one function at a time, each
+    pass: every residual prime that another dominates on the uncovered
+    rows goes at once, by the cyclic core's rule (no higher cost; at equal
+    cost a lower id or more uncovered rows); the primes left alone on an
+    uncovered row are taken; the residual primes are those left that meet
+    a row still uncovered.
+    """
+    lat = pure._lattice(n)
+    taken, residual, uncovered = partial
+    for _ in range(_sop_planes._PASSES):
+        rows = {c: lat.covers[c] & uncovered for c in range(3**n) if residual >> c & 1}
+        cost = {c: pure._TERM + lat.lits[c] for c in rows}
+        kept = [
+            c
+            for c in rows
+            if not any(
+                d != c
+                and rows[c] & rows[d] == rows[c]
+                and cost[d] <= cost[c]
+                and (d < c or rows[d] != rows[c] or cost[d] < cost[c])
+                for d in rows
+            )
+        ]
+        for r in range(1 << n):
+            holders = [c for c in kept if rows[c] >> r & 1]
+            if uncovered >> r & 1 and len(holders) == 1:
+                taken += cost[holders[0]]
+                uncovered &= ~lat.covers[holders[0]]
+        residual = sum(1 << c for c in kept if lat.covers[c] & uncovered)
+    return taken, residual, uncovered
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_one_term_stage_matches_brute_force(n):
+def test_one_term_stage_matches_brute_force(n, monkeypatch):
     full = (1 << (1 << n)) - 1
     if n <= 3:
         masks = list(range(full + 1))
     else:
         masks = [0, full] + sample_uniform(n, {4: 300, 5: 60}[n], seed=80 + n)
     costs = [pure._TERM + lit for lit in pure._lattice(n).lits]
+    one_term = [brute_one_term(n, on) for on in masks]
+    # A batch this narrow stops after the one-term stage.
+    assert len(masks) < _sop_planes._PASS_WIDTH
+    assert list(_sop_planes.partial_covers(n, masks, costs)) == one_term
+    # Any batch runs the dominance passes once it is wide enough.
+    monkeypatch.setattr(_sop_planes, "_PASS_WIDTH", len(masks))
     got = list(_sop_planes.partial_covers(n, masks, costs))
-    assert got == [brute_partial_cover(n, on) for on in masks]
-    # The stage completes some covers the front end left open.
+    assert got == [brute_dominance_passes(n, partial) for partial in one_term]
+    # Each stage completes some covers the one before left open: the
+    # one-term stage from n=3 on, the dominance passes from n=4.
     before = sum(1 for _, _, uncov in plane_front_end(n, masks) if uncov)
+    after_one_term = sum(1 for _, _, uncov in one_term if uncov)
     after = sum(1 for _, _, uncov in got if uncov)
-    assert after < before or n <= 2
+    assert after <= after_one_term < before or n <= 2
+    assert after < after_one_term or n <= 3
 
 
 @pytest.mark.parametrize("rows, width", [(0, 5), (1, 1), (3, 70), (64, 64), (130, 32)])
@@ -338,6 +384,35 @@ def test_transpose(rows, width):
     assert columns == [
         sum((row >> j & 1) << r for r, row in enumerate(matrix)) for j in range(width)
     ]
+
+
+def with_ignored_variable(n: int, index: int, p: int) -> int:
+    """``index`` as a function of n + 1 variables that ignores the one at
+    row bit p."""
+    low = (1 << p) - 1
+    return sum(
+        1 << y
+        for y in range(2 << n)
+        if index >> (y & low | y >> (p + 1) << p) & 1
+    )
+
+
+@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
+def test_ignored_variable_keeps_every_count(impl, monkeypatch):
+    # A variable the function ignores changes none of the nine counts, so
+    # each per-n table of one n must agree with those of the next.  Every
+    # function at n <= 3, then seeded draws, at every position of the new
+    # variable.  The pure twin's dominance passes run at any batch width.
+    monkeypatch.setattr(_sop_planes, "_PASS_WIDTH", 1)
+    for n in range(1, 6):
+        if n <= 3:
+            indices = list(range(1 << (1 << n)))
+        else:
+            indices = sample_uniform(n, {4: 400, 5: 200}[n], seed=150 + n)
+        rows = impl.analyze_batch(n, indices, 60.0)
+        for p in range(n + 1):
+            wider = [with_ignored_variable(n, i, p) for i in indices]
+            assert impl.analyze_batch(n + 1, wider, 60.0) == rows, (n, p)
 
 
 def test_analyze_batch_takes_the_plane_path(monkeypatch):
@@ -622,7 +697,9 @@ def test_analyze_batch_deadline_per_function(monkeypatch):
 
     monkeypatch.setattr(pure, "time", clock)
     monkeypatch.setattr(pure, "_least_cost_cover", slow)
-    pure.analyze_batch(5, sample_uniform(5, 200, seed=77), 30.0)
+    # In a batch this wide the plane stages complete about two covers in
+    # three: 187 of these 600 draws reach a search.
+    pure.analyze_batch(5, sample_uniform(5, 600, seed=77), 30.0)
     assert len(slack) > 100
     assert set(slack) == {30.0}
 
@@ -703,6 +780,41 @@ def test_facade_rejects_bad_input(impl, n, index):
         "raise SystemExit('no ValueError')\n"
     )
     result = run_child(impl, code)
+    assert result.returncode == 0, result.stderr
+
+
+@needs_compiled
+@pytest.mark.parametrize(
+    "status, error", [(1, GuardTimeoutError), (2, MemoryError), (-1, ValueError)]
+)
+def test_compiled_status_maps_to_its_error(status, error):
+    # The C entries return 0, or 1 for a guard abort, 2 for a failed
+    # allocation and -1 for bad arguments.
+    def entry(n, index, count, out, *args):
+        return status
+
+    with pytest.raises(error):
+        compiled._call(entry, 9, 5, [1, 2], DEFAULT_GUARD_SECS)
+    assert compiled._call(lambda *args: 0, 9, 5, [1, 2]) == [(0,) * 9] * 2
+
+
+def test_dominance_table_is_built_only_for_the_batch_path():
+    # Neither importing bfforms nor `bfforms analyze`, which minimizes one
+    # function at a time, builds the per-n table of the dominance pass; an
+    # n=5 batch wide enough to run the pass does.
+    code = (
+        "import contextlib, io\n"
+        "import bfforms\n"
+        "from bfforms import _sop_planes, cli, kernels\n"
+        "built = _sop_planes._dominance.cache_info\n"
+        "assert built().currsize == 0\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['analyze', '--n', '6', '--tt', '0123456789AB']) == 0\n"
+        "assert built().currsize == 0\n"
+        "kernels.analyze_batch(5, range(512))\n"
+        "assert built().currsize == 1\n"
+    )
+    result = run_child(pure, code)
     assert result.returncode == 0, result.stderr
 
 

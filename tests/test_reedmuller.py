@@ -151,6 +151,9 @@ def test_polarity_integer_out_of_range():
     for k in (4, -1, True, 2.0, 1.5):
         with pytest.raises(ValueError):
             P(2, k)
+    for bits in ((True, 0), (0, 1.0), (0, 2), (1,)):
+        with pytest.raises(ValueError):
+            PolarityVector(2, bits)
 
 
 def test_disjunction_identity_through_anf(l2_tables):

@@ -38,6 +38,10 @@ def test_cube_rejects_bad_masks():
     for care, value in ((True, 0), (1, True), (2.0, 0), (1.5, 0), (3, 1.0)):
         with pytest.raises(ValueError):
             Cube(2, care, value)
+    # n follows the variable-count rule of the truth tables.
+    for n in (0, 7, True, 2.0):
+        with pytest.raises(ValueError):
+            Cube(n, 0, 0)
     with pytest.raises(ValueError):
         Cube.from_string(2, "1x")
     with pytest.raises(ValueError):

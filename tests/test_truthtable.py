@@ -31,6 +31,13 @@ def test_index_out_of_range():
     for row in (4, -1, True, 2.0, 1.5):
         with pytest.raises(ValueError):
             Assignment.from_row_index(2, row)
+    # Nor is either one an entry or a value.
+    for bits in ((True, 0, 0, 1), (1, 0, 0, 1.0), (0, 2, 0, 0)):
+        with pytest.raises(ValueError):
+            TruthTable(2, bits)
+    for values in ((True, 0), (1, 0.0), (1, -1)):
+        with pytest.raises(ValueError):
+            Assignment(2, values)
     with pytest.raises(ValueError):
         TruthTable.from_index(0, 0)
     with pytest.raises(ValueError):
