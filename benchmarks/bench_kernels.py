@@ -1,9 +1,21 @@
 #!/usr/bin/env python3
 """Benchmark the compiled C sweep kernel against the pure-Python fallback.
 
-Times `analyze_batch` throughput over the first `N4_COUNT` n=4 functions
-and seeded samples of `N5_COUNT` n=5 and 512 n=6 functions, then prints
-functions per second and the speedup.
+First, it times whole commands as a user starts them: `STARTUP_RUNS`
+fresh `python -m bfforms` processes each of `--help`, `sweep --n 4`,
+`sample --n 5 --count 4096` and `analyze --n 6`, on each backend, with
+`PYTHONDONTWRITEBYTECODE=1` so that no run writes a `__pycache__` for the
+next, and prints the median and quartiles of each.  The runs take turns,
+so a change in the machine's load spreads over every command.  A
+`__pycache__` left by an earlier import or `compileall` is still read,
+and cuts each figure by the compile time of the modules the command loads.
+
+Then it times warm `analyze_batch` throughput over the first `N4_COUNT`
+n=4 functions and seeded samples of `N5_COUNT` n=5 and 512 n=6 functions,
+each after a first call on the same indices, then prints functions per
+second and the speedup.  The first-call builds of the pure backend's
+per-n tables, `_lattice(n)` and the dominance pairs `_dominance(n)`, are
+timed apart, from a cleared cache.
 `analyze_batch` is the path `bfforms sweep` (n <= 4) and `sample` (n <= 5)
 run; no command sends it n=6 batches, so the n=6 figures time the kernel
 API alone.  On the pure backend it finds the primes and essential primes
@@ -34,16 +46,20 @@ pure `min_sop_counts`, the compiled `analyze_batch` of one function), then
 `minimize_sop`, whose cover search is the pure one on either backend.
 Usage:
 
-    python benchmarks/bench_kernels.py
+    python benchmarks/bench_kernels.py [--startup-runs N] [--startup-only]
 """
 
+import argparse
+import os
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
 
 from bfforms import _kernels_py, _sop_planes, npclasses, reports  # noqa: E402
 from bfforms.analysis import sampled_sweep, sweep  # noqa: E402
@@ -63,9 +79,56 @@ N4_COUNT = 8192
 N5_COUNT = 2048
 SYMMETRIC_GUARD_S = 1.0
 REPORT_RUNS = 20
+STARTUP_RUNS = 10
+# Each command's label and its arguments; "{out}" is a scratch directory.
+STARTUP_COMMANDS = [
+    ("--help", "--help"),
+    ("sweep --n 4", "sweep --n 4 --out {out}"),
+    ("sample --n 5 --count 4096", "sample --n 5 --count 4096 --seed 1 --out {out}"),
+    ("analyze --n 6", "analyze --n 6 --tt 0123456789abcdef"),
+]
+
+
+def bench_startup(runs):
+    """Per backend and command, the seconds of ``runs`` fresh processes."""
+    base = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(SRC))
+    base.pop("BFFORMS_PURE", None)
+    envs = {"pure": dict(base, BFFORMS_PURE="1")}
+    if len(BACKENDS) == 2:
+        envs["compiled"] = base
+    times = {(b, label): [] for b in envs for label, _ in STARTUP_COMMANDS}
+    with tempfile.TemporaryDirectory() as out:
+        for _ in range(runs):
+            for backend, env in envs.items():
+                for label, command in STARTUP_COMMANDS:
+                    argv = [arg.format(out=out) for arg in command.split()]
+                    start = time.perf_counter()
+                    subprocess.run(
+                        [sys.executable, "-m", "bfforms", *argv], env=env,
+                        stdout=subprocess.DEVNULL, check=True,
+                    )
+                    times[backend, label].append(time.perf_counter() - start)
+    return times
+
+
+def print_startup(runs):
+    print(f"fresh `python -m bfforms` processes, {runs} each: p25 p50 p75 ms")
+    for (backend, label), secs in bench_startup(runs).items():
+        p25, p50, p75 = statistics.quantiles(secs, n=4) if runs > 1 else secs * 3
+        print(f"  {backend:9s} {label:34s} {1000 * p25:6.1f} {1000 * p50:6.1f} {1000 * p75:6.1f}")
+
+
+def first_call(fn, n):
+    """Seconds of ``fn(n)`` from a cleared cache."""
+    fn.cache_clear()
+    start = time.perf_counter()
+    fn(n)
+    return time.perf_counter() - start
 
 
 def bench(impl, n, indices):
+    """A warm call: the first one builds the per-n tables."""
+    impl.analyze_batch(n, indices, DEFAULT_GUARD_SECS)
     start = time.perf_counter()
     impl.analyze_batch(n, indices, DEFAULT_GUARD_SECS)
     elapsed = time.perf_counter() - start
@@ -126,6 +189,16 @@ def bench_reports(records, n, sampled):
 
 
 def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--startup-runs", type=int, default=STARTUP_RUNS,
+                        help="fresh processes per command and backend; 0 skips them")
+    parser.add_argument("--startup-only", action="store_true",
+                        help="time the fresh processes alone")
+    args = parser.parse_args()
+    if args.startup_runs > 0:
+        print_startup(args.startup_runs)
+    if args.startup_only:
+        return
     workloads = [
         (4, list(range(N4_COUNT))),
         (5, sample_uniform(5, N5_COUNT, seed=1)),
@@ -133,6 +206,11 @@ def main():
     ]
     for n, indices in workloads:
         print(f"n={n}, {len(indices)} functions")
+        builds = [
+            f"{fn.__name__} {1000 * first_call(fn, n):.2f} ms"
+            for fn in (_kernels_py._lattice, _sop_planes._dominance)
+        ]
+        print(f"  first-call builds: {', '.join(builds)}")
         rates = {}
         for impl in BACKENDS:
             elapsed, rate = bench(impl, n, indices)

@@ -88,7 +88,6 @@ import time
 from functools import cache
 from typing import NamedTuple, Sequence
 
-from . import _sop_planes
 from .errors import GuardTimeoutError
 
 BACKEND = "pure"
@@ -430,6 +429,10 @@ def analyze_batch(
     Only a function with rows still uncovered gets a cover search of its
     own, under its own ``guard_s`` deadline.
     """
+    # Imported here: ``sop.minimize_sop``, the one-function path of
+    # ``bfforms analyze``, runs this module's cover search but no planes.
+    from . import _sop_planes
+
     lat = _lattice(n)
     if guard_s <= 0 and any(0 < index < lat.full for index in indices):
         raise GuardTimeoutError("SOP count minimization exceeded its time guard")

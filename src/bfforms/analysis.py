@@ -20,14 +20,20 @@ from fractions import Fraction
 from itertools import compress
 from operator import attrgetter, itemgetter, mul
 
-from . import costs, kernels
-from .arith import best_arith_polarity, ArithPolynomial
+from . import _lazy, costs, kernels
 from .costs import CostVector
 from .guard import resolve_guard
-from .npclasses import np_classes
-from .reedmuller import best_polarity, RmPolynomial
-from .sop import minimize_sop, SopForm
 from .truthtable import TruthTable, _is_int, sample_uniform
+
+# Imported where first needed: the forms by analyze_function, the NP
+# classes by sweep; sampled_sweep needs neither.
+_LAZY = {
+    "arith": ("ArithPolynomial", "best_arith_polarity"),
+    "npclasses": ("np_classes",),
+    "reedmuller": ("RmPolynomial", "best_polarity"),
+    "sop": ("SopForm", "minimize_sop"),
+}
+_bind, __getattr__ = _lazy(globals(), _LAZY)
 
 FORMS = ("cfr", "afr", "rm")
 SCENARIOS = ("cfr", "cfr+afr", "cfr+rm", "ofr")
@@ -216,6 +222,7 @@ def analyze_function(
     """Minimize ``tt`` in all three forms; polarity searches use ``criterion``."""
     if criterion not in costs.CRITERIA:
         raise ValueError(f"unknown criterion {criterion!r}")
+    _bind("minimize_sop", "best_polarity", "best_arith_polarity")
     sop = minimize_sop(tt, guard_s)
     cfr = costs.cost_of_sop(sop)
     counts = (cfr.s_ad, cfr.s_sh, cfr.s_l) + kernels.polarity_minima(tt.n, tt.index)
@@ -443,6 +450,7 @@ def sweep(n: int, jobs: int = 1, guard_s: float | None = None) -> SweepRecords:
     """
     if not _is_int(n) or n not in (1, 2, 3, 4):
         raise ValueError(f"exhaustive sweeps support n in 1..4, got {n!r}")
+    _bind("np_classes")
     reps, rows = _batch(n, lambda: np_classes(n).representatives, jobs, guard_s)
     classes = np_classes(n)
     return SweepRecords(range(1 << (1 << n)), classes.class_of, reps, rows, classes.sizes)

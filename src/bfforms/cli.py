@@ -22,16 +22,24 @@ import re
 import sys
 from pathlib import Path
 
-from . import __version__
-from .analysis import analyze_function, sampled_sweep, sweep
-from .arith import arithmetic_transform, best_arith_polarity
+from . import __version__, _lazy
 from .costs import CRITERIA, cost_of_polynomial
 from .errors import GuardTimeoutError, PlaFormatError
-from .pla import PlaDocument, emit_pla, parse_pla, sop_to_pla, truth_tables
-from .reedmuller import PolarityVector, best_polarity, fprm_transform
-from .reports import SCHEMA_ANALYZE, write_sweep_reports
-from .sop import minimize_sop
 from .truthtable import TruthTable
+
+# Each command binds the names it calls from these modules on first use,
+# so that a command loads only the modules it runs.
+_LAZY = {
+    "analysis": ("analyze_function", "sampled_sweep", "sweep"),
+    "arith": ("arithmetic_transform", "best_arith_polarity"),
+    "pla": ("PlaDocument", "emit_pla", "parse_pla", "sop_to_pla", "truth_tables"),
+    "reedmuller": ("PolarityVector", "best_polarity", "fprm_transform"),
+    "reports": ("write_sweep_reports",),
+    "sop": ("minimize_sop",),
+}
+_bind, __getattr__ = _lazy(globals(), _LAZY)
+
+SCHEMA_ANALYZE = "bfforms.analyze/1"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -113,6 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read_pla(path: str) -> PlaDocument:
     """Parse the UTF-8 PLA file at ``path``, printing its warnings to stderr."""
+    _bind("parse_pla", "truth_tables")
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -146,6 +155,7 @@ def _load_table(args) -> TruthTable:
 
 
 def _cmd_analyze(args) -> int:
+    _bind("analyze_function")
     tt = _load_table(args)
     fa = analyze_function(tt, args.criterion)
     labels = fa.labels()
@@ -191,6 +201,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_report(args) -> int:
     """``sweep`` or ``sample``: run it, then write its report files."""
+    _bind("sweep", "sampled_sweep", "write_sweep_reports")
     if args.command == "sweep":
         records, sampled = sweep(args.n, jobs=args.jobs), None
     else:
@@ -201,14 +212,15 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
-# The polarity scan and the fixed-polarity transform of each polynomial form.
-_POLYNOMIAL_FORMS = {
-    "rm": (best_polarity, fprm_transform),
-    "afr": (best_arith_polarity, arithmetic_transform),
-}
-
-
 def _cmd_convert(args) -> int:
+    _bind("PolarityVector", "minimize_sop", "emit_pla", "sop_to_pla",
+          "best_polarity", "fprm_transform", "best_arith_polarity",
+          "arithmetic_transform")
+    # The polarity scan and the fixed-polarity transform of each polynomial form.
+    polynomial_forms = {
+        "rm": (best_polarity, fprm_transform),
+        "afr": (best_arith_polarity, arithmetic_transform),
+    }
     doc = _read_pla(args.pla)
     tables = truth_tables(doc)
     n = doc.num_inputs
@@ -228,7 +240,7 @@ def _cmd_convert(args) -> int:
             print(f"{prefix}cfr: {sop}")
             print(emit_pla(sop_to_pla(sop)), end="")
             continue
-        scan, transform = _POLYNOMIAL_FORMS[args.form]
+        scan, transform = polynomial_forms[args.form]
         if fixed_polarity is None:
             p, poly = scan(tt, args.criterion)
         else:

@@ -36,7 +36,6 @@ from .analysis import SCENARIOS, SweepRecords, SweepStats, aggregate
 from .costs import CRITERIA
 
 SCHEMA_SWEEP = "bfforms.sweep-report/1"
-SCHEMA_ANALYZE = "bfforms.analyze/1"
 
 REI_VARIANTS = ("literal", "normalized")
 BLOCK_LINES = 4096  # CSV lines rendered and written per file write
